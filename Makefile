@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-remote bench-replay bench-diff chaos fuzz traceguard recguard govguard detectors soak soak-short verify clean
+.PHONY: build test race vet bench bench-replay bench-diff chaos fuzz tracestress traceguard recguard govguard detectors soak soak-short verify clean
 
 build:
 	$(GO) build ./...
@@ -29,18 +29,6 @@ bench:
 	$(GO) test -run XXX -bench $(BENCH_CORE) -benchmem -count=5 ./internal/core >> bench_raw.txt
 	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -in bench_raw.txt -out BENCH_hub.json
 
-# bench-remote is the remote-transport counterpart of bench: loopback TCP
-# fan-out at 8 and 64 watchers plus large-snapshot streaming, medians-of-5
-# folded into BENCH_remote.json. events/sec and wire-B/event in each entry's
-# extra map are the headline transport numbers. The Gob variants pin the
-# client to protocol v3 and the Codec benchmarks compare the two encoders
-# in-process, so every run carries its own same-session gob-vs-binary A/B.
-BENCH_REMOTE = 'BenchmarkRemoteFanout8$$|BenchmarkRemoteFanout64$$|BenchmarkRemoteFanout64Gob$$|BenchmarkRemoteSnapshot4MB$$|BenchmarkCodecEncodeBatch$$|BenchmarkCodecDecodeBatch$$'
-
-bench-remote:
-	$(GO) test -run XXX -bench $(BENCH_REMOTE) -benchmem -count=5 ./internal/remote > bench_remote_raw.txt
-	$(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -in bench_remote_raw.txt -out BENCH_remote.json
-
 # bench-replay records the catch-up path: full-window replay plus the
 # resume-storm scaling benchmarks (64/256/512 watchers reconnecting at once),
 # medians-of-5 folded into BENCH_hub.json under REPLAY_LABEL. -merge adds the
@@ -53,26 +41,23 @@ bench-replay:
 	$(GO) test -run XXX -bench $(BENCH_REPLAY) -benchmem -count=5 ./internal/core > bench_replay_raw.txt
 	$(GO) run ./cmd/benchjson -label $(REPLAY_LABEL) -merge -in bench_replay_raw.txt -out BENCH_hub.json
 
-# bench-diff compares the two most recent labeled runs in BENCH_hub.json and
-# BENCH_remote.json, printing per-benchmark ns/op, B/op and allocs/op deltas,
-# and fails above a 10% ns/op regression — run it after
-# `make bench BENCH_LABEL=<new>` (and bench-remote) to gate a change against
-# the previous label.
+# bench-diff compares the two most recent labeled runs in BENCH_hub.json,
+# printing per-benchmark ns/op, B/op and allocs/op deltas, and fails above a
+# 10% ns/op regression — run it after `make bench BENCH_LABEL=<new>` to gate a
+# change against the previous label.
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff BENCH_hub.json
-	$(GO) run ./cmd/benchjson -diff BENCH_remote.json
 
 # chaos runs the transport fault-injection suite under the race detector:
 # heartbeat-detected half-open connections, repeated severs with resume,
-# graceful drain, close-ordering, malformed frames (gob and binary), the
-# cross-version protocol matrix, overflow recovery, and the E13/E16
-# resilience experiments end to end.
-CHAOS_RUN = 'TestChaos|TestServerShutdown|TestClientClose|TestReconnect|TestMalformed|TestOverflow|TestPostOverflow|TestV2Interop|TestCrossVersion'
+# graceful drain, close-ordering, malformed frames and handshakes, overflow
+# recovery, and the E13 resilience experiment end to end.
+CHAOS_RUN = 'TestChaos|TestServerShutdown|TestClientClose|TestReconnect|TestMalformed|TestOverflow|TestPostOverflow'
 
 chaos:
 	$(GO) test -race -count=1 -run $(CHAOS_RUN) ./internal/remote
 	$(GO) test -race -count=1 -run 'TestChaosPartitionProducesRetrievableDump' ./internal/debugz
-	$(GO) test -race -count=1 -run 'TestAllExperimentsQuick/(E13|E15|E16|E17)' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestAllExperimentsQuick/(E13|E15|E17)' ./internal/experiments
 
 # fuzz smoke-runs the wire-codec fuzzer: FuzzDecodeFrame drives the binary
 # frame decoder with mutations of the golden fixtures for a bounded wall
@@ -82,6 +67,12 @@ FUZZ_TIME ?= 10s
 
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME) ./internal/remote
+
+# tracestress hammers the one conformance subtest whose failure mode is a
+# lost race between a trace stamp and the dispatch goroutine: every completed
+# trace must carry its enqueue (or replay) stamp, 200 runs in a row.
+tracestress:
+	$(GO) test -count=200 -run 'TestConformance/.*/TracedStagesComplete' ./internal/coretest
 
 # traceguard pins the cost of the (disabled) causal tracer on the hot hub
 # append path: a hub built with a disabled tracer must stay within 5% of one
@@ -125,11 +116,11 @@ detectors:
 # includes the hub contract, stress, and latency-isolation tests; chaos is
 # the transport fault-injection suite (including the black-box dump e2e);
 # fuzz smoke-runs the wire-codec fuzzer against the golden corpus;
-# detectors is the deterministic anomaly-detector suite; soak-short is the
-# CI-scale overload storm against the governed stack; traceguard, recguard
-# and govguard keep tracing, flight recording and idle governance free on
-# the hot path.
-verify: vet build race chaos fuzz detectors soak-short traceguard recguard govguard
+# tracestress repeats the trace-stamp ordering subtest; detectors is the
+# deterministic anomaly-detector suite; soak-short is the CI-scale overload
+# storm against the governed stack; traceguard, recguard and govguard keep
+# tracing, flight recording and idle governance free on the hot path.
+verify: vet build race chaos fuzz tracestress detectors soak-short traceguard recguard govguard
 
 clean:
 	$(GO) clean ./...

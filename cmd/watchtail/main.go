@@ -125,19 +125,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer client.Close()
-		// The negotiated protocol arrives with the server's hello reply,
-		// moments after dial; wait briefly so the banner can report which
-		// codec this tail actually speaks (binary v4, or gob fallback).
-		ver, codec := client.ProtocolInfo()
-		for wait := 0; ver == 0 && wait < 100; wait++ {
-			time.Sleep(10 * time.Millisecond)
-			ver, codec = client.ProtocolInfo()
-		}
-		if ver == 0 {
-			fmt.Printf("tailing over TCP via %s (protocol negotiation pending)\n", srv.Addr())
-		} else {
-			fmt.Printf("tailing over TCP via %s (protocol v%d, %s codec)\n", srv.Addr(), ver, codec)
-		}
+		fmt.Printf("tailing over TCP via %s\n", srv.Addr())
 		view = client
 	}
 

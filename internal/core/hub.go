@@ -572,12 +572,16 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 		if w == nil || w.lagged.Load() || ev.Version <= w.from {
 			return
 		}
+		// Stamp before publishing into the ring: once enqueued, the dispatch
+		// goroutine may deliver and complete the trace at any moment, and a
+		// completed trace takes no further stamps. On overflow the stamp
+		// stands — it marks the first enqueue attempt across the fan-out.
+		if ev.Trace != 0 {
+			h.tracer.Record(ev.Trace, trace.StageEnqueue)
+		}
 		if w.q.enqueue(item{kind: kindEvent, ev: ev}) {
 			s.delivered++
 			fx.delivered++
-			if ev.Trace != 0 {
-				h.tracer.Record(ev.Trace, trace.StageEnqueue)
-			}
 		} else {
 			fx.appendOverflow++
 			h.lagOutLocked(w, s, "watcher buffer overflow", ev.Trace, fx)

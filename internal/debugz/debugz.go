@@ -44,8 +44,8 @@ type Config struct {
 	// lock.
 	Regions func() []core.KnowledgeRegion
 	// RemoteConns backs GET /conns — the remote watch server's live
-	// connections with their negotiated protocol, watch count, queued
-	// backlog and drain state; typically remote.Server.Conns.
+	// connections with their watch count, queued backlog and drain state;
+	// typically remote.Server.Conns.
 	RemoteConns func() []remote.ConnInfo
 	// Flight backs GET /flightrec — the live flight-recorder ring, newest
 	// tail first-served (?n= bounds the tail, default 256).

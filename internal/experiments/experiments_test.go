@@ -11,8 +11,8 @@ import (
 // claim-by-claim verification.
 func TestAllExperimentsQuick(t *testing.T) {
 	exps := All()
-	if len(exps) != 16 {
-		t.Fatalf("registered %d experiments, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("registered %d experiments, want 15", len(exps))
 	}
 	for _, e := range exps {
 		e := e

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -520,19 +522,41 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 	}
 }
 
-// gobGarbage is a frame no gob decoder accepts: the uvarint length prefix
-// (0xf8 = eight big-endian bytes follow) declares a ~1.8e19-byte message,
-// tripping gob's message-size guard on the first read rather than leaving
-// the decoder waiting for payload.
-func gobGarbage() []byte {
-	return []byte{0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+// wireBytes returns the bytes the binary encoder emits for one frame.
+func wireBytes(frame func(*binEncoder) error) []byte {
+	var buf bytes.Buffer
+	enc, bw := newTestEncoder(&buf)
+	if err := frame(enc); err != nil {
+		panic(err)
+	}
+	bw.Flush()
+	return buf.Bytes()
 }
 
-// binGarbage is a frame no binary (v4) decoder accepts: a valid event-batch
-// tag whose uvarint payload length exceeds maxFrameLen, tripping the frame
-// size guard before any payload bytes are read.
+// goodHello is the opening frame a well-behaved peer sends.
+func goodHello() []byte {
+	return wireBytes(func(e *binEncoder) error {
+		return e.hello(&helloMsg{Version: protoVersion, HeartbeatMillis: 1000})
+	})
+}
+
+// binGarbage is a frame the decoder must refuse: a valid event-batch tag
+// whose uvarint payload length exceeds maxFrameLen, tripping the frame size
+// guard before any payload bytes are read.
 func binGarbage() []byte {
 	return binary.AppendUvarint([]byte{tagEventBatch}, uint64(maxFrameLen)+1)
+}
+
+// badHellos are the opening streams both ends must refuse.
+var badHellos = []struct {
+	name   string
+	stream []byte
+}{
+	{"wrong version", wireBytes(func(e *binEncoder) error {
+		return e.hello(&helloMsg{Version: protoVersion - 1, HeartbeatMillis: 1000})
+	})},
+	{"non-hello first frame", wireBytes((*binEncoder).heartbeat)},
+	{"truncated hello", []byte{tagHello, 1, protoVersion}}, // payload ends before the heartbeat interval
 }
 
 func contains(s, sub string) bool {
@@ -544,10 +568,11 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestMalformedFramesServer feeds the server raw garbage and a well-formed
-// frame with an unknown tag: each must kill only that connection and bump
-// remote_server_decode_errors_total — typed failure, never a hang.
-func TestMalformedFramesServer(t *testing.T) {
+// requireServerRejects writes stream to a fresh server on a raw connection:
+// the server must count exactly one decode error, close that connection
+// (after its own hello) and reap it — typed failure, never a hang.
+func requireServerRejects(t *testing.T, stream []byte) {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	hub := core.NewHub(core.HubConfig{Metrics: reg})
 	defer hub.Close()
@@ -557,40 +582,52 @@ func TestMalformedFramesServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Raw garbage: a gob message-length prefix declaring an absurd size, so
-	// the decoder fails immediately instead of waiting for payload bytes.
-	raw, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := raw.Write(gobGarbage()); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "garbage counted", func() bool {
-		return reg.Snapshot().Counters["remote_server_decode_errors_total"] >= 1
-	})
-
-	// Unknown tag on an otherwise valid gob stream.
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(uint8(99)); err != nil {
+	if _, err := conn.Write(stream); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "unknown tag counted", func() bool {
-		return reg.Snapshot().Counters["remote_server_decode_errors_total"] >= 2
-	})
-	waitUntil(t, "poisoned conns reaped", func() bool { return len(srv.Conns()) == 0 })
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("server did not close the poisoned connection: %v", err)
+	}
+	waitUntil(t, "poisoned conn reaped", func() bool { return len(srv.Conns()) == 0 })
+	if got := reg.Snapshot().Counters["remote_server_decode_errors_total"]; got != 1 {
+		t.Fatalf("remote_server_decode_errors_total = %d, want 1", got)
+	}
 }
 
-// TestMalformedFrameClient runs the client against a fake server that
-// responds with garbage: the connection must fail with a typed
-// *ProtocolError (surfaced from subsequent calls), the decode-error counter
-// must bump, and the watch must get its terminal resync.
-func TestMalformedFrameClient(t *testing.T) {
+// TestMalformedFramesServer sends a well-formed frame with an unknown tag
+// after a valid hello.
+func TestMalformedFramesServer(t *testing.T) {
+	requireServerRejects(t, append(goodHello(), 99, 0))
+}
+
+// TestMalformedBinaryFrameServer sends a frame whose length field exceeds
+// maxFrameLen after a valid hello: the server must reject it without ever
+// allocating the declared size.
+func TestMalformedBinaryFrameServer(t *testing.T) {
+	requireServerRejects(t, append(goodHello(), binGarbage()...))
+}
+
+// TestMalformedHelloServer covers the handshake: a stream that does not open
+// with a hello announcing protoVersion is refused at its first frame.
+func TestMalformedHelloServer(t *testing.T) {
+	for _, tc := range badHellos {
+		t.Run(tc.name, func(t *testing.T) { requireServerRejects(t, tc.stream) })
+	}
+}
+
+// requireClientRejects runs a client against a fake server that waits for the
+// client's hello and watch request, then answers with stream. The connection
+// must fail with a typed *ProtocolError (surfaced from subsequent calls), the
+// decode-error counter must bump once, and the watch must get its terminal
+// resync.
+func requireClientRejects(t *testing.T, stream []byte) *ProtocolError {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -601,16 +638,15 @@ func TestMalformedFrameClient(t *testing.T) {
 		if err != nil {
 			return
 		}
-		go func() { // drain the client's hello/watch frames
-			buf := make([]byte, 1024)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
+		defer conn.Close()
+		dec := newBinDecoder(bufio.NewReader(conn))
+		for i := 0; i < 2; i++ { // the client's hello, then its watch request
+			if _, err := dec.readTag(); err != nil {
+				return
 			}
-		}()
-		time.Sleep(10 * time.Millisecond)
-		conn.Write(gobGarbage())
+		}
+		conn.Write(stream)
+		io.Copy(io.Discard, conn)
 	}()
 
 	reg := metrics.NewRegistry()
@@ -626,7 +662,6 @@ func TestMalformedFrameClient(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
 	select {
 	case <-resyncCh:
 	case <-time.After(5 * time.Second):
@@ -640,118 +675,23 @@ func TestMalformedFrameClient(t *testing.T) {
 	if !errors.As(err, &perr) {
 		t.Fatalf("Watch after protocol error = %v, want wrapped *ProtocolError", err)
 	}
+	return perr
 }
 
-// TestMalformedBinaryFrameServer completes a real v4 negotiation (gob hello,
-// gob upgrade marker) and then feeds the server's binary decoder a frame
-// whose length field exceeds maxFrameLen. The server must reject it as a
-// typed decode error — never allocate the declared size — and reap only that
-// connection.
-func TestMalformedBinaryFrameServer(t *testing.T) {
-	reg := metrics.NewRegistry()
-	hub := core.NewHub(core.HubConfig{Metrics: reg})
-	defer hub.Close()
-	srv, err := ServeWith("127.0.0.1:0", hub, nopSnap{}, ServerConfig{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	go func() { // drain the server's hello reply + upgrade + heartbeats
-		buf := make([]byte, 1024)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	enc := gob.NewEncoder(conn)
-	for _, v := range []any{uint8(tagHello), &helloMsg{Version: protoV4, HeartbeatMillis: 1000}, uint8(tagUpgrade)} {
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The server's decoder is now binary for this connection.
-	if _, err := conn.Write(binGarbage()); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "binary garbage counted", func() bool {
-		return reg.Snapshot().Counters["remote_server_decode_errors_total"] >= 1
-	})
-	waitUntil(t, "poisoned conn reaped", func() bool { return len(srv.Conns()) == 0 })
-}
-
-// TestMalformedBinaryFrameClient is the mirror image: a fake server
-// negotiates v4 with a real client, sends the gob upgrade marker, then
-// injects an over-length binary frame. The client must surface a typed
-// *ProtocolError, bump remote_client_decode_errors_total, and deliver the
-// watch its terminal resync.
+// TestMalformedBinaryFrameClient is the mirror image of the server test: a
+// fake server says hello, then injects an over-length frame.
 func TestMalformedBinaryFrameClient(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		dec := gob.NewDecoder(conn)
-		var tag uint8
-		var h helloMsg
-		if dec.Decode(&tag) != nil || tag != tagHello || dec.Decode(&h) != nil {
-			return
-		}
-		go func() { // drain the client's upgrade marker + binary watch frames
-			buf := make([]byte, 1024)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
+	requireClientRejects(t, append(goodHello(), binGarbage()...))
+}
+
+// TestMalformedHelloClient is the handshake table from the client's end.
+func TestMalformedHelloClient(t *testing.T) {
+	for _, tc := range badHellos {
+		t.Run(tc.name, func(t *testing.T) {
+			if perr := requireClientRejects(t, tc.stream); perr.Op != "hello" {
+				t.Fatalf("ProtocolError.Op = %q, want \"hello\"", perr.Op)
 			}
-		}()
-		enc := gob.NewEncoder(conn)
-		for _, v := range []any{uint8(tagHello), &helloMsg{Version: protoV4, HeartbeatMillis: h.HeartbeatMillis}, uint8(tagUpgrade)} {
-			if enc.Encode(v) != nil {
-				return
-			}
-		}
-		time.Sleep(10 * time.Millisecond) // let the watch request land first
-		conn.Write(binGarbage())
-	}()
-
-	reg := metrics.NewRegistry()
-	client, err := DialWith(ln.Addr().String(), ClientConfig{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	resyncCh := make(chan core.ResyncEvent, 1)
-	if _, err := client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
-		Resync: func(r core.ResyncEvent) { resyncCh <- r },
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case <-resyncCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no resync after binary protocol error")
-	}
-	if got := reg.Snapshot().Counters["remote_client_decode_errors_total"]; got != 1 {
-		t.Fatalf("remote_client_decode_errors_total = %d, want 1", got)
-	}
-	_, err = client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{})
-	var perr *ProtocolError
-	if !errors.As(err, &perr) {
-		t.Fatalf("Watch after binary protocol error = %v, want wrapped *ProtocolError", err)
+		})
 	}
 }
 
@@ -862,10 +802,9 @@ func (g *gatedSink) ApplyChange(ev core.ChangeEvent) {
 func (g *gatedSink) AdvanceFrontier(p core.ProgressEvent) { g.inner.AdvanceFrontier(p) }
 
 // TestPostOverflowResumeConverges is the end-to-end half of the overflow
-// coverage, on a v2 (no-hello) client for interop: a stalled consumer backs
-// the server's outbox past its bound, the overflow resync flows once the
-// stall lifts, the ResyncWatcher recovers by snapshot, and a subsequent
-// sever/reconnect converges again.
+// coverage: a stalled consumer backs the server's outbox past its bound, the
+// overflow resync flows once the stall lifts, the ResyncWatcher recovers by
+// snapshot, and a subsequent sever/reconnect converges again.
 func TestPostOverflowResumeConverges(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ws := mvcc.NewWatchableStore(core.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 17, Metrics: reg})
@@ -878,19 +817,14 @@ func TestPostOverflowResumeConverges(t *testing.T) {
 
 	ctrl := NewChaosController(ChaosConfig{})
 	client, err := DialWith(srv.Addr(), ClientConfig{
-		Metrics:           reg,
-		HeartbeatInterval: -1, // speak v2: no hello, no heartbeats
-		Reconnect:         fastReconnect(),
-		Dialer:            ctrl.Dialer(),
+		Metrics:   reg,
+		Reconnect: fastReconnect(),
+		Dialer:    ctrl.Dialer(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	waitUntil(t, "server sees conn", func() bool { return len(srv.Conns()) == 1 })
-	if infos := srv.Conns(); infos[0].Protocol != protoV2 {
-		t.Fatalf("server negotiated protocol %d for hello-less client, want %d", infos[0].Protocol, protoV2)
-	}
 
 	sink := &mapSink{mu: &sync.Mutex{}, state: make(map[keyspace.Key]string)}
 	gate := &gatedSink{inner: sink}
@@ -946,53 +880,4 @@ func TestPostOverflowResumeConverges(t *testing.T) {
 		ws.Put(keyspace.NumericKey(i), []byte("after-sever"))
 	}
 	waitUntil(t, "post-sever convergence", func() bool { return converged() })
-}
-
-// TestV2InteropIdle pins the negotiation contract: a client that never sends
-// a hello is v2, and the server must not send it heartbeat frames (which a
-// real legacy decoder would reject) no matter how long the stream idles.
-func TestV2InteropIdle(t *testing.T) {
-	reg := metrics.NewRegistry()
-	hub := core.NewHub(core.HubConfig{Metrics: reg})
-	defer hub.Close()
-	srv, err := ServeWith("127.0.0.1:0", hub, nopSnap{}, ServerConfig{
-		Metrics:           reg,
-		HeartbeatInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := DialWith(srv.Addr(), ClientConfig{Metrics: reg, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	var delivered atomic.Int64
-	cancel, err := client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
-		Event: func(core.ChangeEvent) { delivered.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	time.Sleep(100 * time.Millisecond) // 20 server heartbeat intervals of idle
-	if err := hub.Append(core.ChangeEvent{
-		Key:     keyspace.NumericKey(1),
-		Mut:     core.Mutation{Op: core.OpPut, Value: []byte("v")},
-		Version: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "delivery after idle", func() bool { return delivered.Load() == 1 })
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["remote_server_heartbeats_total"]; got != 0 {
-		t.Fatalf("server sent %d heartbeats to a v2 client", got)
-	}
-	if got := snap.Counters["remote_client_heartbeats_total"]; got != 0 {
-		t.Fatalf("v2 client sent %d heartbeats", got)
-	}
 }

@@ -35,7 +35,7 @@ type ChaosConfig struct {
 	DropAfterReadBytes  int64
 	DropAfterWriteBytes int64
 	// CorruptOneIn flips one byte in roughly one out of every N reads —
-	// the gob stream downstream fails to decode, which must surface as a
+	// the frame stream downstream fails to decode, which must surface as a
 	// typed protocol error, never a hang. 0 disables corruption.
 	CorruptOneIn int
 	// MaxWriteChunk caps how many bytes one Write passes through, forcing

@@ -1,22 +1,17 @@
 package remote
 
-// Hand-rolled binary codec — wire protocol v4's frame payloads.
+// Hand-rolled binary codec — the wire protocol's frames, from the first byte
+// of a connection. The format is shaped around what actually crosses the
+// wire: near-monotonic versions, heavily repeated keys, and small values.
 //
-// The remote transport's CPU profile after batching (PR 4) and resilience
-// (PR 5) is dominated by encoding/gob: reflection walks every ChangeEvent,
-// per-message type bookkeeping taxes every frame, and decode allocates even
-// when the target is reused. This codec removes all of that with a format
-// shaped around what actually crosses the wire: near-monotonic versions,
-// heavily repeated keys, and small values.
-//
-// Frame layout (both directions, after the gob tagUpgrade marker):
+// Frame layout (both directions):
 //
 //	frame   := tag(1 byte) length(uvarint) payload(length bytes)
 //
-// The tag is the same one-byte tag the gob protocol uses; length covers the
-// payload only. Tag-only frames (heartbeat, upgrade) carry length 0. All
-// integers are unsigned LEB128 (uvarint) unless marked zigzag (varint);
-// strings are uvarint length + raw bytes.
+// Tags are listed in protocol.go; length covers the payload only. The
+// tag-only heartbeat frame carries length 0. All integers are unsigned LEB128
+// (uvarint) unless marked zigzag (varint); strings are uvarint length + raw
+// bytes.
 //
 // Payloads:
 //
@@ -105,45 +100,6 @@ const (
 	evHasValue   = 1 << 4
 )
 
-// frameEncoder is the codec seam on the write path: one method per frame
-// type, writing a complete tagged frame into the connection's buffered
-// writer. The gob implementation (gobcodec.go) is wire protocol v2/v3; the
-// binary implementation below is v4. Write loops swap implementations at the
-// tagUpgrade marker.
-type frameEncoder interface {
-	hello(h *helloMsg) error
-	heartbeat() error
-	upgrade() error
-	shutdown(m *shutdownMsg) error
-	eventBatch(id uint64, evs []core.ChangeEvent) error
-	progress(id uint64, p core.ProgressEvent) error
-	resync(id uint64, r core.ResyncEvent) error
-	snapChunk(ch *snapChunk) error
-	overloaded(m *overloadedMsg) error
-	watch(w *watchReq) error
-	cancelWatch(cr *cancelReq) error
-	snapshot(sr *snapshotReq) error
-}
-
-// frameDecoder is the codec seam on the read path. readTag consumes one
-// frame's header (and, for the binary codec, its payload bytes); the decode
-// method matching the returned tag parses the payload. Tag-only frames need
-// no decode call. Read loops swap implementations when the peer's tagUpgrade
-// marker arrives.
-type frameDecoder interface {
-	readTag() (uint8, error)
-	decodeHello(h *helloMsg) error
-	decodeShutdown(m *shutdownMsg) error
-	decodeEventBatch(m *eventBatchMsg) error
-	decodeProgress(m *progressMsg) error
-	decodeResync(m *resyncMsg) error
-	decodeSnapChunk(m *snapChunk) error
-	decodeOverloaded(m *overloadedMsg) error
-	decodeWatch(w *watchReq) error
-	decodeCancel(cr *cancelReq) error
-	decodeSnapshot(sr *snapshotReq) error
-}
-
 // Binary decode errors. These are protocol violations (never ordinary
 // connection loss), so the read loops count them as decode errors and kill
 // the connection with a ProtocolError.
@@ -156,7 +112,7 @@ var (
 	errBadCount     = errors.New("element count exceeds payload")
 )
 
-// binEncoder is the v4 encoder: one scratch buffer, one key dictionary, two
+// binEncoder is the frame encoder: one scratch buffer, one key dictionary, two
 // buffered writes per frame. Not safe for concurrent use — each connection
 // direction owns exactly one (the server's write loop, the client's encMu).
 type binEncoder struct {
@@ -212,11 +168,6 @@ func (e *binEncoder) hello(h *helloMsg) error {
 func (e *binEncoder) heartbeat() error {
 	e.buf = e.buf[:0]
 	return e.frame(tagHeartbeat)
-}
-
-func (e *binEncoder) upgrade() error {
-	e.buf = e.buf[:0]
-	return e.frame(tagUpgrade)
 }
 
 func (e *binEncoder) shutdown(m *shutdownMsg) error {
@@ -337,7 +288,7 @@ func (e *binEncoder) snapshot(sr *snapshotReq) error {
 	return e.frame(tagSnapshot)
 }
 
-// binDecoder is the v4 decoder: readTag pulls one whole frame (header +
+// binDecoder is the frame decoder: readTag pulls one whole frame (header +
 // payload) into a reusable scratch buffer; the decode methods parse it with
 // every length, count and reference validated. Not safe for concurrent use.
 type binDecoder struct {

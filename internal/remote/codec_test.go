@@ -3,7 +3,6 @@ package remote
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -60,9 +59,21 @@ var goldenFrames = []struct {
 		check:  func(t *testing.T, d *binDecoder, tag uint8) { requireTag(t, tag, tagHeartbeat) },
 	},
 	{
-		name:   "upgrade",
-		encode: func(e *binEncoder) error { return e.upgrade() },
-		check:  func(t *testing.T, d *binDecoder, tag uint8) { requireTag(t, tag, tagUpgrade) },
+		name: "overloaded",
+		encode: func(e *binEncoder) error {
+			return e.overloaded(&overloadedMsg{ID: 7, RetryAfterMillis: 250, Reason: "govern: overloaded"})
+		},
+		check: func(t *testing.T, d *binDecoder, tag uint8) {
+			requireTag(t, tag, tagOverloaded)
+			var m overloadedMsg
+			if err := d.decodeOverloaded(&m); err != nil {
+				t.Fatal(err)
+			}
+			want := overloadedMsg{ID: 7, RetryAfterMillis: 250, Reason: "govern: overloaded"}
+			if m != want {
+				t.Fatalf("decoded %+v, want %+v", m, want)
+			}
+		},
 	},
 	{
 		name:   "shutdown",
@@ -256,7 +267,7 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "golden", name+".hex")
 }
 
-// TestGoldenWireFormat pins the v4 byte layout: every canonical frame must
+// TestGoldenWireFormat pins the wire byte layout: every canonical frame must
 // encode to exactly the committed hex fixture, and the fixture must decode
 // back to the expected value. Any codec change that shifts bytes fails here
 // loudly; deliberate format changes regenerate with -update-golden (which is
@@ -648,91 +659,48 @@ func benchBatch() []core.ChangeEvent {
 	return evs
 }
 
-// BenchmarkCodecEncodeBatch compares the two codecs encoding the same
-// 64-event batch in the same process (same-session A/B — cross-session
-// labels are noise on this host).
+// BenchmarkCodecEncodeBatch encodes one 64-event batch per op.
 func BenchmarkCodecEncodeBatch(b *testing.B) {
 	batch := benchBatch()
-	b.Run("gob", func(b *testing.B) {
-		bw := bufio.NewWriterSize(io.Discard, 1<<20)
-		enc := newGobFrameEncoder(gob.NewEncoder(bw))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.eventBatch(1, batch); err != nil {
-				b.Fatal(err)
-			}
+	enc := newBinEncoder(bufio.NewWriterSize(io.Discard, 1<<20))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.eventBatch(1, batch); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		bw := bufio.NewWriterSize(io.Discard, 1<<20)
-		enc := newBinEncoder(bw)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.eventBatch(1, batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkCodecDecodeBatch decodes a pre-encoded stream of 64-event frames,
-// gob vs binary, same process. Each inner pass re-reads the same stream; the
-// per-op unit is one frame (64 events).
+// BenchmarkCodecDecodeBatch decodes a pre-encoded stream of 64-event frames.
+// Each inner pass re-reads the same stream; the per-op unit is one frame (64
+// events).
 func BenchmarkCodecDecodeBatch(b *testing.B) {
 	batch := benchBatch()
 	const frames = 256
-
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := newGobFrameEncoder(gob.NewEncoder(&buf))
-		for i := 0; i < frames; i++ {
-			if err := enc.eventBatch(uint64(i), batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stream := buf.Bytes()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; {
-			dec := newGobFrameDecoder(gob.NewDecoder(bytes.NewReader(stream)))
-			var m eventBatchMsg
-			for j := 0; j < frames && i < b.N; j, i = j+1, i+1 {
-				if _, err := dec.readTag(); err != nil {
-					b.Fatal(err)
-				}
-				if err := dec.decodeEventBatch(&m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc, bw := newTestEncoder(&buf)
-		for i := 0; i < frames; i++ {
-			if err := enc.eventBatch(uint64(i), batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
+	var buf bytes.Buffer
+	enc, bw := newTestEncoder(&buf)
+	for i := 0; i < frames; i++ {
+		if err := enc.eventBatch(uint64(i), batch); err != nil {
 			b.Fatal(err)
 		}
-		stream := buf.Bytes()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; {
-			dec := newBinDecoder(bufio.NewReader(bytes.NewReader(stream)))
-			var m eventBatchMsg
-			for j := 0; j < frames && i < b.N; j, i = j+1, i+1 {
-				if _, err := dec.readTag(); err != nil {
-					b.Fatal(err)
-				}
-				if err := dec.decodeEventBatch(&m); err != nil {
-					b.Fatal(err)
-				}
+	}
+	if err := bw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	stream := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		dec := newBinDecoder(bufio.NewReader(bytes.NewReader(stream)))
+		var m eventBatchMsg
+		for j := 0; j < frames && i < b.N; j, i = j+1, i+1 {
+			if _, err := dec.readTag(); err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.decodeEventBatch(&m); err != nil {
+				b.Fatal(err)
 			}
 		}
-	})
+	}
 }

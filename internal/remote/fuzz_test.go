@@ -59,8 +59,8 @@ func decodeFrameStream(t *testing.T, data []byte) {
 		case tagHello:
 			var h helloMsg
 			err = dec.decodeHello(&h)
-		case tagHeartbeat, tagUpgrade:
-			// Tag-only frames.
+		case tagHeartbeat:
+			// Tag-only frame.
 		case tagShutdown:
 			var m shutdownMsg
 			err = dec.decodeShutdown(&m)
@@ -84,6 +84,9 @@ func decodeFrameStream(t *testing.T, data []byte) {
 		case tagSnapChunk:
 			var m snapChunk
 			err = dec.decodeSnapChunk(&m)
+		case tagOverloaded:
+			var m overloadedMsg
+			err = dec.decodeOverloaded(&m)
 		default:
 			return // unknown tag: the read loops kill the connection here
 		}

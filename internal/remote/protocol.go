@@ -10,46 +10,26 @@ import (
 	"unbundle/internal/metrics"
 )
 
-// Wire protocol (v4, batched + liveness + binary codec): every message is a
-// tag-first frame. The tag set is shared by both codecs; what changes between
-// protocol versions is how the payload bytes are produced.
+// Wire protocol: every message is a tag-first, length-prefixed binary frame
+// (layout and payloads in codec.go), and there is exactly one version.
 //
-// Client → server: tagHello, tagWatch, tagCancel, tagSnapshot, tagHeartbeat,
-// tagUpgrade. Server → client: tagHello, tagEventBatch, tagProgress,
-// tagResync, tagSnapChunk, tagHeartbeat, tagShutdown, tagUpgrade.
+// Client → server: tagHello, tagWatch, tagCancel, tagSnapshot, tagHeartbeat.
+// Server → client: tagHello, tagEventBatch, tagProgress, tagResync,
+// tagSnapChunk, tagOverloaded, tagHeartbeat, tagShutdown.
 //
-// v2 carried a whole ring-drain's worth of events per watch in one
-// tagEventBatch frame and streamed snapshot responses as bounded tagSnapChunk
-// frames, gob-encoded. v3 added the liveness layer: a v3 client opens the
-// stream with tagHello announcing its version and heartbeat interval, the
-// server replies in kind, and both ends then (a) send tagHeartbeat on an idle
-// stream and (b) arm read deadlines sized to the peer's announced interval,
-// so a half-open connection is detected in O(heartbeat interval) instead of
-// hanging forever. tagShutdown is the graceful-drain marker: the server sends
-// it after the terminal per-watch resyncs so clients can tell "server going
-// away" (do not reconnect) from "network died" (reconnect and resume).
+// Each end opens its direction with tagHello announcing protoVersion and its
+// heartbeat interval; the receiver checks the version and sizes its read
+// deadline from the interval, so a half-open connection is detected in
+// O(heartbeat interval) and the two ends never need to agree on one global
+// value. A first frame that is not a hello, or a hello announcing any other
+// version, is a ProtocolError that closes the connection. After the hello
+// both ends send tagHeartbeat on an idle stream.
 //
-// v4 keeps the v3 frame vocabulary and replaces reflection-based gob with the
-// hand-rolled binary codec in codec.go on the hot wire path. Negotiation
-// stays first-frame based and per-direction explicit:
-//
-//   - A v4 client sends its gob hello announcing Version 4. A v4 server
-//     replies with a gob hello carrying the negotiated version (min of the
-//     two), and — when that is 4 — follows it immediately with a gob
-//     tagUpgrade marker; every server→client frame after the marker is
-//     binary.
-//   - The client, upon decoding a hello reply with Version ≥ 4, emits its own
-//     gob tagUpgrade marker and switches its send side to binary; every
-//     client→server frame after that marker is binary. Frames the client sent
-//     before learning the server's version (watches racing the handshake) are
-//     gob, and the server keeps decoding gob until the marker arrives.
-//
-// Because each direction's sender embeds the switch point in its own stream,
-// neither end ever guesses where the codec changes, and mixed pairs degrade
-// cleanly: a v3 peer never announces 4, so no tagUpgrade is ever sent to a
-// peer that would not understand it, and the connection simply stays on gob.
-// A client that never sends tagHello remains v2 — no heartbeats, no read
-// deadlines, no shutdown marker, gob everywhere.
+// A whole ring-drain's worth of events for one watch travels as one
+// tagEventBatch frame, and snapshot responses stream as bounded tagSnapChunk
+// frames. tagShutdown is the graceful-drain marker: the server sends it after
+// the terminal per-watch resyncs so clients can tell "server going away" (do
+// not reconnect) from "network died" (reconnect and resume).
 const (
 	tagWatch uint8 = iota + 1
 	tagCancel
@@ -61,46 +41,48 @@ const (
 	tagHello
 	tagHeartbeat
 	tagShutdown
-	// tagUpgrade is the codec switch marker (v4): the sender's next frame on
-	// this direction — and every frame after it — uses the binary codec. Only
-	// ever sent to a peer that announced protocol ≥ 4 in the hello exchange.
-	tagUpgrade
-	// tagOverloaded (server → client, v3+) rejects one watch or snapshot
-	// request with a retry-after hint: the serving stack is admission-
-	// controlling under memory pressure (govern.ErrOverloaded). Unlike
-	// tagResync it is not a statement about lost history — the client should
-	// back off and re-request, resuming from its frontier. v2 peers never
-	// announced a hello, so they fall back to a terminal resync (watch) or an
-	// error chunk (snapshot) instead.
+	_ // 11 is reserved: it was the codec switch marker of a retired protocol
+	// tagOverloaded (server → client) rejects one watch or snapshot request
+	// with a retry-after hint: the serving stack is admission-controlling
+	// under memory pressure (govern.ErrOverloaded). Unlike tagResync it is not
+	// a statement about lost history — the client should back off and
+	// re-request, resuming from its frontier.
 	tagOverloaded
 )
 
-// Protocol versions. protoV2 is the batched pre-liveness protocol (no hello
-// exchanged); protoV3 adds hello/heartbeat/shutdown frames; protoV4 switches
-// the frame payloads from gob to the hand-rolled binary codec.
-const (
-	protoV2 = 2
-	protoV3 = 3
-	protoV4 = 4
-)
+// protoVersion is the one wire protocol version both ends speak.
+const protoVersion = 4
 
-// helloMsg opens a v3 stream in each direction: the sender's protocol
-// version and the interval at which it will emit heartbeats on an idle
-// stream. The receiver sizes its read deadline from HeartbeatMillis, so the
-// two ends never need to agree on one global interval.
+// helloMsg opens the stream in each direction: the sender's protocol version
+// and the interval at which it will emit heartbeats on an idle stream.
 type helloMsg struct {
 	Version         uint32
 	HeartbeatMillis int64
 }
 
-// shutdownMsg is the graceful-drain marker (v3 only). It follows the terminal
+// expectHello decodes the first frame of a stream, whose tag the caller has
+// just read: it must be a hello announcing protoVersion.
+func expectHello(dec *binDecoder, tag uint8, h *helloMsg) error {
+	if tag != tagHello {
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("first frame has tag %d, not hello", tag)}
+	}
+	if err := dec.decodeHello(h); err != nil {
+		return &ProtocolError{Op: "hello", Err: err}
+	}
+	if h.Version != protoVersion {
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("peer speaks protocol %d, this end speaks %d", h.Version, protoVersion)}
+	}
+	return nil
+}
+
+// shutdownMsg is the graceful-drain marker. It follows the terminal
 // per-watch resync frames; after it the server flushes and closes.
 type shutdownMsg struct {
 	Reason string
 }
 
 // ProtocolError reports a wire-level violation: a corrupt frame, an unknown
-// tag, or a payload gob refuses to decode. It is terminal for the connection
+// tag, a bad opening hello, or a payload that fails to decode. It is terminal for the connection
 // it occurred on — the stream position is unrecoverable after a failed
 // decode — and is counted in remote_{server,client}_decode_errors_total.
 type ProtocolError struct {

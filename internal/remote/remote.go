@@ -5,8 +5,9 @@
 // system — the "standalone watch system" of the paper's §5 made standalone
 // in fact.
 //
-// The wire protocol is tag-framed gob over one connection per client (see
-// protocol.go): requests flow client→server (watch, cancel, snapshot);
+// The wire protocol is length-prefixed binary frames over one connection per
+// client (see protocol.go and codec.go): each end opens with a hello, then
+// requests flow client→server (watch, cancel, snapshot);
 // event batches, progress, resyncs and snapshot chunks flow back,
 // multiplexed by watch ID. The transport never flattens the batched feed:
 // each contiguous run of events the watch system drains for one watch
@@ -28,8 +29,8 @@
 // The network is allowed to fail without breaking the contract's trichotomy
 // (current, lagging with a known frontier, or explicitly resyncing):
 //
-//   - Liveness (protocol v3): both ends exchange hello frames announcing
-//     their heartbeat interval, send heartbeats on an idle stream, and arm
+//   - Liveness: both ends open with a hello frame announcing their
+//     heartbeat interval, send heartbeats on an idle stream, and arm
 //     read deadlines sized to the peer's interval — a half-open connection
 //     (NAT timeout, partition, peer crash) is detected in O(heartbeat
 //     interval) instead of hanging a watcher forever. Write deadlines bound
@@ -58,7 +59,6 @@ package remote
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -110,7 +110,7 @@ const (
 
 // Liveness tuning defaults (overridable per Server/Client config).
 const (
-	// defaultHeartbeatInterval is how often an idle v3 stream carries a
+	// defaultHeartbeatInterval is how often an idle stream carries a
 	// heartbeat frame in each direction.
 	defaultHeartbeatInterval = time.Second
 	// heartbeatTimeoutMult sizes the read deadline from the peer's announced
@@ -155,13 +155,11 @@ type serverMetrics struct {
 	bytes           *metrics.Counter // bytes written to client sockets
 	events          *metrics.Counter // change events sent inside event frames
 	snapChunks      *metrics.Counter // snapshot response chunks streamed
-	heartbeats      *metrics.Counter // heartbeat frames sent on idle v3 conns
+	heartbeats      *metrics.Counter // heartbeat frames sent on idle conns
 	hbMisses        *metrics.Counter // read deadlines expired: peer fell silent
 	decodeErrs      *metrics.Counter // corrupt/unknown frames that killed a conn
 	connDrops       *metrics.Counter // events+frames queued but unsent when a conn died
 	drainedWatches  *metrics.Counter // watches terminally resynced by Shutdown
-	codecV3Frames   *metrics.Counter // frames encoded with the gob codec (v2/v3)
-	codecV4Frames   *metrics.Counter // frames encoded with the binary codec (v4)
 	overloads       *metrics.Counter // watch/snapshot requests refused under memory pressure
 }
 
@@ -180,8 +178,6 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 		decodeErrs:      reg.Counter("remote_server_decode_errors_total"),
 		connDrops:       reg.Counter("remote_server_conn_drops_total"),
 		drainedWatches:  reg.Counter("remote_server_drained_watches_total"),
-		codecV3Frames:   reg.Counter("remote_server_codec_frames_v3_total"),
-		codecV4Frames:   reg.Counter("remote_server_codec_frames_v4_total"),
 		overloads:       reg.Counter("remote_server_overloaded_total"),
 	}
 }
@@ -197,14 +193,12 @@ type clientMetrics struct {
 	frames         *metrics.Counter // wire messages decoded
 	bytes          *metrics.Counter // bytes read from the server socket
 	events         *metrics.Counter // change events received inside event frames
-	heartbeats     *metrics.Counter // heartbeat frames sent on idle v3 conns
+	heartbeats     *metrics.Counter // heartbeat frames sent on idle conns
 	hbMisses       *metrics.Counter // read deadlines expired: server fell silent
 	decodeErrs     *metrics.Counter // corrupt/unknown frames that killed a conn
 	reconnects     *metrics.Counter // successful reconnects
 	reconnectFails *metrics.Counter // failed dial attempts during reconnect
 	resumedWatches *metrics.Counter // watches re-established from a resume point
-	codecV3Frames  *metrics.Counter // frames decoded with the gob codec (v2/v3)
-	codecV4Frames  *metrics.Counter // frames decoded with the binary codec (v4)
 	overloaded     *metrics.Counter // requests the server refused under memory pressure
 }
 
@@ -224,8 +218,6 @@ func newClientMetrics(reg *metrics.Registry) clientMetrics {
 		reconnects:     reg.Counter("remote_client_reconnects_total"),
 		reconnectFails: reg.Counter("remote_client_reconnect_failures_total"),
 		resumedWatches: reg.Counter("remote_client_resumed_watches_total"),
-		codecV3Frames:  reg.Counter("remote_client_codec_frames_v3_total"),
-		codecV4Frames:  reg.Counter("remote_client_codec_frames_v4_total"),
 		overloaded:     reg.Counter("remote_client_overloaded_total"),
 	}
 }
@@ -239,11 +231,11 @@ type ServerConfig struct {
 	// enter a connection's outbound queue. Wire the same tracer into the
 	// source store / hub for end-to-end remote traces.
 	Tracer *trace.Tracer
-	// HeartbeatInterval is how often an idle v3 connection carries a
+	// HeartbeatInterval is how often an idle connection carries a
 	// server→client heartbeat, and what the server announces in its hello
 	// (the client sizes its read deadline from it). 0 uses the 1s default;
-	// negative disables server heartbeats (v3 clients will still heartbeat
-	// toward the server).
+	// negative disables server heartbeats (clients still heartbeat toward
+	// the server).
 	HeartbeatInterval time.Duration
 	// WriteTimeout bounds one socket write; a client stalled past it has its
 	// connection torn down (overflow→resync already lagged its watches out).
@@ -256,21 +248,12 @@ type ServerConfig struct {
 	// Log receives structured records for the same transitions; nil uses
 	// the process-wide logz ring under component "remote.server".
 	Log *slog.Logger
-	// MaxProtocol caps the wire protocol version the server negotiates in its
-	// hello reply. 0 (or anything ≥ 4) negotiates up to v4 — the binary
-	// codec with v4 peers, gob with older ones. 3 pins every connection to
-	// gob framing regardless of what clients announce (interop testing,
-	// staged rollout of mixed fleets). Values below 3 behave as 3: a client
-	// that sent a hello speaks at least v3, and true v2 is a property of
-	// hello-less clients, not of the server.
-	MaxProtocol int
 	// Governor, when non-nil, puts the server under the process memory
 	// governor: outbound connection queues are charged to its "remote"
 	// account, and snapshot requests are admission-controlled — refused with
-	// a retry-after hint (tagOverloaded for v3+ peers, an error chunk for v2)
-	// while the governor is at Reject pressure. Watch admission is the watch
-	// source's own concern (a governed hub refuses there); this server maps
-	// that refusal onto the wire.
+	// a retry-after hint (tagOverloaded) while the governor is at Reject
+	// pressure. Watch admission is the watch source's own concern (a governed
+	// hub refuses there); this server maps that refusal onto the wire.
 	Governor *govern.Governor
 }
 
@@ -284,7 +267,6 @@ type Server struct {
 	log        *slog.Logger
 	hbInterval time.Duration
 	writeTO    time.Duration
-	maxProto   int // highest protocol version negotiated (3 or 4)
 	gov        *govern.Governor
 	acct       *govern.Account // the governor's "remote" account (nil when ungoverned)
 	connSeq    atomic.Int64    // connection ids, for flight-record correlation
@@ -321,13 +303,6 @@ func ServeWith(addr string, watch core.Watchable, snap core.Snapshotter, cfg Ser
 	if log == nil {
 		log = logz.Logger("remote.server")
 	}
-	maxP := cfg.MaxProtocol
-	if maxP == 0 || maxP > protoV4 {
-		maxP = protoV4
-	}
-	if maxP < protoV3 {
-		maxP = protoV3
-	}
 	s := &Server{
 		watch:      watch,
 		snap:       snap,
@@ -337,7 +312,6 @@ func ServeWith(addr string, watch core.Watchable, snap core.Snapshotter, cfg Ser
 		log:        log,
 		hbInterval: hb,
 		writeTO:    wto,
-		maxProto:   maxP,
 		conns:      make(map[*serverConn]struct{}),
 		met:        newServerMetrics(cfg.Metrics),
 	}
@@ -376,6 +350,9 @@ func (s *Server) acceptLoop() {
 			done:    make(chan struct{}),
 			watches: make(map[uint64]serverWatch),
 		}
+		// Provisional until the client's hello announces its own interval, so
+		// a peer that connects and never speaks is reaped like any silent one.
+		sc.peerHB.Store(int64(s.hbInterval))
 		sc.cond = sync.NewCond(&sc.mu)
 		sc.spaceCond = sync.NewCond(&sc.mu)
 		s.mu.Lock()
@@ -401,7 +378,7 @@ type outFrame struct {
 	resync    core.ResyncEvent    // tagResync
 	chunk     *snapChunk          // tagSnapChunk
 	chunkSize int                 // approx payload bytes, for snapshot flow control
-	aux       any                 // tagHello (*helloMsg), tagShutdown (*shutdownMsg), tagOverloaded (*overloadedMsg)
+	aux       any                 // tagShutdown (*shutdownMsg), tagOverloaded (*overloadedMsg)
 	bytes     int64               // governor footprint charged to the "remote" account (0 when ungoverned)
 }
 
@@ -432,7 +409,6 @@ type serverConn struct {
 	writeTO time.Duration
 	acct    *govern.Account // governor's "remote" account; nil when ungoverned
 
-	proto    atomic.Int32 // negotiated protocol (0 until hello; then ≥ protoV3)
 	peerHB   atomic.Int64 // client's announced heartbeat interval (nanoseconds)
 	lastSend atomic.Int64 // UnixNano of the last flush, for idle detection
 	done     chan struct{}
@@ -465,7 +441,7 @@ func (s *Server) serveConn(sc *serverConn) {
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		sc.writeLoop()
+		sc.writeLoop(&helloMsg{Version: protoVersion, HeartbeatMillis: s.hbInterval.Milliseconds()})
 	}()
 	hbDone := make(chan struct{})
 	go func() {
@@ -473,8 +449,7 @@ func (s *Server) serveConn(sc *serverConn) {
 		sc.heartbeatLoop(s.hbInterval)
 	}()
 
-	br := bufio.NewReaderSize(sc.conn, connReadBuffer)
-	var dec frameDecoder = newGobFrameDecoder(gob.NewDecoder(br))
+	dec := newBinDecoder(bufio.NewReaderSize(sc.conn, connReadBuffer))
 	// Read deadlines are re-armed coarsely — only once a quarter of the
 	// timeout has elapsed — so a busy connection pays one deadline syscall
 	// per TO/4 rather than per frame. The effective timeout stretches to at
@@ -482,13 +457,11 @@ func (s *Server) serveConn(sc *serverConn) {
 	var armedAt time.Time
 	var armedTO time.Duration
 	var readErr error
-	for {
-		if sc.proto.Load() >= protoV3 {
-			to := readTimeoutFor(sc.peerHB.Load())
-			if now := time.Now(); to != armedTO || now.Sub(armedAt) > to/4 {
-				sc.conn.SetReadDeadline(now.Add(to))
-				armedAt, armedTO = now, to
-			}
+	for first := true; ; first = false {
+		to := readTimeoutFor(sc.peerHB.Load())
+		if now := time.Now(); to != armedTO || now.Sub(armedAt) > to/4 {
+			sc.conn.SetReadDeadline(now.Add(to))
+			armedAt, armedTO = now, to
 		}
 		tag, err := dec.readTag()
 		if err != nil {
@@ -507,12 +480,15 @@ func (s *Server) serveConn(sc *serverConn) {
 			}
 			break // client gone (or sent garbage): tear the connection down
 		}
-		if tag == tagUpgrade {
-			// The client's codec switch marker: every client→server frame
-			// from here on is binary. The bufio.Reader carries over — gob
-			// consumes exactly its own bytes, so the stream position is
-			// deterministic at the marker.
-			dec = newBinDecoder(br)
+		if first {
+			// The stream must open with the client's hello.
+			var h helloMsg
+			if err := expectHello(dec, tag, &h); err != nil {
+				s.met.decodeErrs.Inc()
+				readErr = err
+				break
+			}
+			sc.peerHB.Store(int64(time.Duration(h.HeartbeatMillis) * time.Millisecond))
 			continue
 		}
 		if !s.handleRequest(sc, dec, tag) {
@@ -576,9 +552,8 @@ func readTimeoutFor(peerHB int64) time.Duration {
 	return iv * heartbeatTimeoutMult
 }
 
-// heartbeatLoop keeps an idle v3 connection visibly alive: whenever no frame
-// has been flushed for a full interval, a heartbeat frame is queued. v2
-// connections (no hello) never receive one.
+// heartbeatLoop keeps an idle connection visibly alive: whenever no frame has
+// been flushed for a full interval, a heartbeat frame is queued.
 func (sc *serverConn) heartbeatLoop(interval time.Duration) {
 	if interval <= 0 {
 		return
@@ -590,9 +565,6 @@ func (sc *serverConn) heartbeatLoop(interval time.Duration) {
 		case <-sc.done:
 			return
 		case <-t.C:
-		}
-		if sc.proto.Load() < protoV3 {
-			continue
 		}
 		if time.Since(time.Unix(0, sc.lastSend.Load())) < interval {
 			continue
@@ -609,7 +581,7 @@ func (sc *serverConn) heartbeatLoop(interval time.Duration) {
 
 // handleRequest decodes and dispatches one client request; false tears the
 // connection down.
-func (s *Server) handleRequest(sc *serverConn, dec frameDecoder, tag uint8) bool {
+func (s *Server) handleRequest(sc *serverConn, dec *binDecoder, tag uint8) bool {
 	bad := func(err error) bool {
 		if !connLossErr(err) {
 			s.met.decodeErrs.Inc()
@@ -617,38 +589,6 @@ func (s *Server) handleRequest(sc *serverConn, dec frameDecoder, tag uint8) bool
 		return false
 	}
 	switch tag {
-	case tagHello:
-		var h helloMsg
-		if err := dec.decodeHello(&h); err != nil {
-			return bad(err)
-		}
-		sc.peerHB.Store(int64(time.Duration(h.HeartbeatMillis) * time.Millisecond))
-		// Negotiate: the connection speaks the lower of what the client
-		// announced and what this server allows, never below v3 (the client
-		// sent a hello, so it understands at least the liveness layer).
-		neg := int(h.Version)
-		if neg > s.maxProto {
-			neg = s.maxProto
-		}
-		if neg < protoV3 {
-			neg = protoV3
-		}
-		sc.proto.Store(int32(neg))
-		reply := &helloMsg{Version: uint32(neg), HeartbeatMillis: s.hbInterval.Milliseconds()}
-		sc.mu.Lock()
-		if !sc.dead {
-			sc.queue = append(sc.queue, outFrame{tag: tagHello, aux: reply})
-			if neg >= protoV4 {
-				// Queued in the same critical section as the hello reply so
-				// no other frame (a heartbeat, an early event batch) can slip
-				// between them: the upgrade marker must be the first thing
-				// the client sees after the reply, and everything after it is
-				// binary.
-				sc.queue = append(sc.queue, outFrame{tag: tagUpgrade})
-			}
-			sc.cond.Signal()
-		}
-		sc.mu.Unlock()
 	case tagHeartbeat:
 		// Liveness only; the read deadline reset on the next loop iteration
 		// is the entire effect.
@@ -718,17 +658,13 @@ func (s *Server) handleWatch(sc *serverConn, req watchReq) {
 	cancel, err := s.watch.Watch(r, req.From, connWatchSink{sc: sc, id: req.ID})
 	if err != nil {
 		// A governed watch source refuses admission under memory pressure
-		// with a retry-after hint; v3+ peers get it as an overloaded frame so
-		// their reconnect/backoff machinery can wait the pressure out instead
-		// of treating the refusal as lost history.
+		// with a retry-after hint; it crosses the wire as an overloaded frame
+		// so the client's reconnect/backoff machinery can wait the pressure
+		// out instead of treating the refusal as lost history.
 		var ov *govern.Overloaded
 		if errors.As(err, &ov) {
 			s.met.overloads.Inc()
-			if sc.proto.Load() >= protoV3 {
-				sc.sendOverloaded(req.ID, ov)
-			} else {
-				sc.sendResync(req.ID, core.ResyncEvent{Range: r, Reason: "watch rejected: " + err.Error()})
-			}
+			sc.sendOverloaded(req.ID, ov)
 			return
 		}
 		// Report the failure as an immediate resync carrying the reason;
@@ -849,11 +785,10 @@ func (sc *serverConn) overflowLocked() {
 		f := &sc.queue[i]
 		switch f.tag {
 		// Recovery frames survive — and so do protocol-state frames: dropping
-		// a queued hello reply or upgrade marker would desync the codec
-		// negotiation, dropping a shutdown marker would turn a graceful
-		// drain into an apparent network death, and dropping an overloaded
-		// frame would leave a refused client waiting forever.
-		case tagResync, tagSnapChunk, tagHello, tagUpgrade, tagShutdown, tagOverloaded:
+		// a shutdown marker would turn a graceful drain into an apparent
+		// network death, and dropping an overloaded frame would leave a
+		// refused client waiting forever.
+		case tagResync, tagSnapChunk, tagShutdown, tagOverloaded:
 			kept = append(kept, *f)
 		case tagEventBatch:
 			putEvs(f.evs)
@@ -880,12 +815,7 @@ func (s *Server) streamSnapshot(sc *serverConn, req snapshotReq) {
 		var ov *govern.Overloaded
 		if errors.As(err, &ov) {
 			s.met.overloads.Inc()
-			if sc.proto.Load() >= protoV3 {
-				sc.sendOverloaded(req.ID, ov)
-			} else {
-				msg := "server overloaded: " + ov.Reason
-				sc.sendChunk(&snapChunk{ID: req.ID, Err: msg, Last: true}, len(msg)+32)
-			}
+			sc.sendOverloaded(req.ID, ov)
 			return
 		}
 	}
@@ -965,9 +895,9 @@ func (sc *serverConn) die() {
 }
 
 // beginDrain converts the connection to graceful-shutdown mode: every live
-// watch gets a terminal resync, a shutdown marker follows (v3 peers only),
-// new frames are refused, and the writer closes the connection once the
-// queue has flushed. Watch cancels run outside the lock.
+// watch gets a terminal resync, a shutdown marker follows, new frames are
+// refused, and the writer closes the connection once the queue has flushed.
+// Watch cancels run outside the lock.
 func (sc *serverConn) beginDrain(reason string) {
 	sc.mu.Lock()
 	if sc.dead || sc.draining {
@@ -985,9 +915,7 @@ func (sc *serverConn) beginDrain(reason string) {
 		n++
 	}
 	sc.watches = map[uint64]serverWatch{}
-	if sc.proto.Load() >= protoV3 {
-		sc.queue = append(sc.queue, outFrame{tag: tagShutdown, aux: &shutdownMsg{Reason: reason}})
-	}
+	sc.queue = append(sc.queue, outFrame{tag: tagShutdown, aux: &shutdownMsg{Reason: reason}})
 	sc.draining = true
 	sc.cond.Signal()
 	sc.spaceCond.Broadcast() // unblock snapshot streamers; their conn is going away
@@ -1006,19 +934,18 @@ func (sc *serverConn) beginDrain(reason string) {
 	}
 }
 
-// writeLoop drains the outbox through one buffered gob stream. Flush policy:
-// flush when the queue runs empty (the common low-load case, giving
-// per-batch latency), or when encoded frames have lingered past flushLinger
-// under sustained backlog; bufio additionally writes through whenever the
-// buffer fills. The result is a few large socket writes instead of one small
-// write per event. Every socket write sits under the configured write
-// deadline, so a stalled reader tears the connection down instead of
-// wedging this loop. When the connection is draining, the loop flushes the
-// final frames and closes.
-func (sc *serverConn) writeLoop() {
+// writeLoop opens the stream with the server's hello, then drains the outbox
+// through one buffered binary encoder. Flush policy: flush when the queue
+// runs empty (the common low-load case, giving per-batch latency), or when
+// encoded frames have lingered past flushLinger under sustained backlog;
+// bufio additionally writes through whenever the buffer fills. The result is
+// a few large socket writes instead of one small write per event. Every
+// socket write sits under the configured write deadline, so a stalled reader
+// tears the connection down instead of wedging this loop. When the connection
+// is draining, the loop flushes the final frames and closes.
+func (sc *serverConn) writeLoop(hello *helloMsg) {
 	bw := bufio.NewWriterSize(&countingWriter{w: sc.conn, c: sc.met.bytes}, connWriteBuffer)
-	var enc frameEncoder = newGobFrameEncoder(gob.NewEncoder(bw))
-	binary := false // flips at the tagUpgrade marker
+	enc := newBinEncoder(bw)
 	var local []outFrame
 	var lastFlush time.Time
 	flush := func() bool {
@@ -1047,6 +974,11 @@ func (sc *serverConn) writeLoop() {
 		sc.acct.Release(freed)
 		sc.die()
 	}
+	if err := enc.hello(hello); err != nil {
+		sc.die()
+		return
+	}
+	sc.met.frames.Inc()
 	for {
 		sc.mu.Lock()
 		if len(sc.queue) == 0 && !sc.dead && bw.Buffered() > 0 {
@@ -1094,34 +1026,18 @@ func (sc *serverConn) writeLoop() {
 				err = enc.resync(f.id, f.resync)
 			case tagSnapChunk:
 				err = enc.snapChunk(f.chunk)
-			case tagHello:
-				err = enc.hello(f.aux.(*helloMsg))
 			case tagShutdown:
 				err = enc.shutdown(f.aux.(*shutdownMsg))
 			case tagOverloaded:
 				err = enc.overloaded(f.aux.(*overloadedMsg))
 			case tagHeartbeat:
 				err = enc.heartbeat()
-			case tagUpgrade:
-				// The codec switch point: the marker itself goes out in gob,
-				// every frame after it in binary. Swapping here — in stream
-				// order, on the writer goroutine — is what makes the switch
-				// unambiguous for the client's decoder.
-				if err = enc.upgrade(); err == nil {
-					enc = newBinEncoder(bw)
-					binary = true
-				}
 			}
 			if err != nil {
 				fail(local, i)
 				return
 			}
 			sc.met.frames.Inc()
-			if binary && f.tag != tagUpgrade {
-				sc.met.codecV4Frames.Inc()
-			} else {
-				sc.met.codecV3Frames.Inc()
-			}
 			switch f.tag {
 			case tagEventBatch:
 				sc.met.events.Add(int64(len(*f.evs)))
@@ -1152,22 +1068,11 @@ func (sc *serverConn) writeLoop() {
 // ConnInfo is one connection's state, for the debug plane (debugz /conns).
 type ConnInfo struct {
 	RemoteAddr   string `json:"remote_addr"`
-	Protocol     int    `json:"protocol"` // 2 (legacy), 3 (liveness) or 4 (binary codec)
-	Codec        string `json:"codec"`    // "gob" or "binary"
 	Watches      int    `json:"watches"`
 	QueuedEvents int    `json:"queued_events"`
 	Draining     bool   `json:"draining"`
 }
 
-// codecName names the frame codec a negotiated protocol version implies.
-func codecName(proto int) string {
-	if proto >= protoV4 {
-		return "binary"
-	}
-	return "gob"
-}
-
-// Conns snapshots the server's live connections.
 // relieveOverflow is the governor's transport reliever: while the process
 // is over budget it repeatedly finds the connection holding the most
 // charged outbound bytes — a peer that stopped reading while the storm kept
@@ -1219,6 +1124,7 @@ func (s *Server) relieveOverflow(need int64) int64 {
 	return freed
 }
 
+// Conns snapshots the server's live connections.
 func (s *Server) Conns() []ConnInfo {
 	s.mu.Lock()
 	scs := make([]*serverConn, 0, len(s.conns))
@@ -1228,11 +1134,7 @@ func (s *Server) Conns() []ConnInfo {
 	s.mu.Unlock()
 	out := make([]ConnInfo, 0, len(scs))
 	for _, sc := range scs {
-		info := ConnInfo{RemoteAddr: sc.conn.RemoteAddr().String(), Protocol: protoV2}
-		if p := int(sc.proto.Load()); p >= protoV3 {
-			info.Protocol = p
-		}
-		info.Codec = codecName(info.Protocol)
+		info := ConnInfo{RemoteAddr: sc.conn.RemoteAddr().String()}
 		sc.mu.Lock()
 		info.Watches = len(sc.watches)
 		info.QueuedEvents = sc.queuedEvs
@@ -1360,9 +1262,8 @@ type ClientConfig struct {
 	Tracer *trace.Tracer
 	// HeartbeatInterval is how often an idle connection carries a
 	// client→server heartbeat, announced to the server in the hello so it
-	// can size its read deadline. 0 uses the 1s default. Negative speaks
-	// protocol v2: no hello, no heartbeats, no read deadline — the
-	// pre-resilience wire behaviour.
+	// can size its read deadline. 0 uses the 1s default; negative disables
+	// client heartbeats (the server still heartbeats toward the client).
 	HeartbeatInterval time.Duration
 	// Reconnect governs automatic recovery from connection loss.
 	Reconnect ReconnectPolicy
@@ -1377,12 +1278,6 @@ type ClientConfig struct {
 	// Log receives structured records for the same transitions; nil uses
 	// the process-wide logz ring under component "remote.client".
 	Log *slog.Logger
-	// MaxProtocol caps the wire protocol version announced in the hello.
-	// 0 (or anything ≥ 4) announces v4 — the binary codec when the server
-	// agrees. 3 pins the connection to gob framing. 2 or less speaks legacy
-	// v2: no hello, no heartbeats, no read deadlines — equivalent to a
-	// negative HeartbeatInterval.
-	MaxProtocol int
 }
 
 // snapResult resolves one in-flight snapshot request.
@@ -1430,10 +1325,9 @@ type clientWatch struct {
 type clientConn struct {
 	conn net.Conn
 	bw   *bufio.Writer
-	enc  frameEncoder // guarded by Client.encMu (swapped at the codec upgrade)
+	enc  *binEncoder // guarded by Client.encMu
 	gen  int
 
-	proto    atomic.Int32 // negotiated protocol (0 until the server's hello)
 	peerHB   atomic.Int64 // server's announced heartbeat interval (ns)
 	lastSend atomic.Int64
 	done     chan struct{} // closed on teardown; stops the heartbeat loop
@@ -1452,16 +1346,15 @@ func (cc *clientConn) die() {
 // consumer sees a ResyncEvent only when the server can no longer supply the
 // gap. Watch IDs and metrics counters stay continuous across reconnects.
 type Client struct {
-	addr     string
-	met      clientMetrics
-	tracer   *trace.Tracer
-	rec      *flightrec.Recorder
-	log      *slog.Logger
-	hbIv     time.Duration // negative: speak v2 (no hello/heartbeats)
-	announce int           // protocol version sent in the hello (3 or 4)
-	policy   ReconnectPolicy
-	dialer   func(addr string) (net.Conn, error)
-	jitter   *rand.Rand // used only by the single active reconnect loop
+	addr   string
+	met    clientMetrics
+	tracer *trace.Tracer
+	rec    *flightrec.Recorder
+	log    *slog.Logger
+	hbIv   time.Duration // negative: send no heartbeats
+	policy ReconnectPolicy
+	dialer func(addr string) (net.Conn, error)
+	jitter *rand.Rand // used only by the single active reconnect loop
 
 	ctx       context.Context
 	cancelCtx context.CancelFunc
@@ -1497,16 +1390,6 @@ func DialWith(addr string, cfg ClientConfig) (*Client, error) {
 	if hb == 0 {
 		hb = defaultHeartbeatInterval
 	}
-	announce := protoV4
-	if cfg.MaxProtocol != 0 && cfg.MaxProtocol < announce {
-		announce = cfg.MaxProtocol
-	}
-	if announce < protoV3 {
-		// v2 is the hello-less protocol; announcing less than v3 means not
-		// announcing at all, which also switches off the liveness layer.
-		announce = protoV2
-		hb = -1
-	}
 	dialer := cfg.Dialer
 	if dialer == nil {
 		dialer = func(addr string) (net.Conn, error) {
@@ -1529,7 +1412,6 @@ func DialWith(addr string, cfg ClientConfig) (*Client, error) {
 		rec:       cfg.Recorder,
 		log:       log,
 		hbIv:      hb,
-		announce:  announce,
 		policy:    cfg.Reconnect.withDefaults(),
 		dialer:    dialer,
 		jitter:    rand.New(rand.NewSource(seed)),
@@ -1568,6 +1450,12 @@ func (c *Client) installConn(conn net.Conn) *clientConn {
 	if c.closed {
 		return nil
 	}
+	return c.newConnLocked(conn)
+}
+
+// newConnLocked wraps conn as the client's current connection. Caller holds
+// c.mu.
+func (c *Client) newConnLocked(conn net.Conn) *clientConn {
 	c.gen++
 	cc := &clientConn{
 		conn:     conn,
@@ -1576,21 +1464,21 @@ func (c *Client) installConn(conn net.Conn) *clientConn {
 		done:     make(chan struct{}),
 		readDone: make(chan struct{}),
 	}
-	cc.enc = newGobFrameEncoder(gob.NewEncoder(cc.bw))
+	cc.enc = newBinEncoder(cc.bw)
+	// Provisional until the server's hello announces its own interval, sized
+	// from ours: a connection blackholed right after dial must not hang the
+	// read loop forever.
+	cc.peerHB.Store(int64(c.hbIv))
 	c.cur = cc
 	c.lastRead = cc.readDone
 	return cc
 }
 
-// handshake opens the stream with a hello announcing our protocol version
-// and heartbeat interval. With a negative heartbeat interval the client
-// speaks v2: no hello at all.
+// handshake opens the stream with a hello announcing the protocol version
+// and our heartbeat interval.
 func (c *Client) handshake(cc *clientConn) error {
-	if c.hbIv < 0 {
-		return nil
-	}
-	h := &helloMsg{Version: uint32(c.announce), HeartbeatMillis: c.hbIv.Milliseconds()}
-	return c.sendOn(cc, func(e frameEncoder) error { return e.hello(h) })
+	h := &helloMsg{Version: protoVersion, HeartbeatMillis: c.hbIv.Milliseconds()}
+	return c.sendOn(cc, func(e *binEncoder) error { return e.hello(h) })
 }
 
 // startConn launches the per-connection goroutines.
@@ -1600,10 +1488,9 @@ func (c *Client) startConn(cc *clientConn) {
 }
 
 // sendOn encodes one frame on the given connection and flushes: client→server
-// traffic is sparse control flow, not the hot path. The frame is built by
-// send against whichever codec the connection currently speaks — encMu makes
-// the read against the codec upgrade swap safe.
-func (c *Client) sendOn(cc *clientConn, send func(frameEncoder) error) error {
+// traffic is sparse control flow, not the hot path. encMu serializes senders
+// (callers, the heartbeat loop, resume) on the connection's one encoder.
+func (c *Client) sendOn(cc *clientConn, send func(*binEncoder) error) error {
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
 	if err := send(cc.enc); err != nil {
@@ -1616,24 +1503,6 @@ func (c *Client) sendOn(cc *clientConn, send func(frameEncoder) error) error {
 	return nil
 }
 
-// upgradeSend switches the connection's send side to the binary codec:
-// the gob tagUpgrade marker goes out first (so the server knows exactly
-// where in the stream the switch happens), then the encoder is swapped.
-// Serialized against every in-flight sendOn by encMu.
-func (c *Client) upgradeSend(cc *clientConn) error {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	if err := cc.enc.upgrade(); err != nil {
-		return err
-	}
-	if err := cc.bw.Flush(); err != nil {
-		return err
-	}
-	cc.enc = newBinEncoder(cc.bw)
-	cc.lastSend.Store(time.Now().UnixNano())
-	return nil
-}
-
 // conn returns the current connection, or nil while disconnected.
 func (c *Client) connNow() *clientConn {
 	c.mu.Lock()
@@ -1641,26 +1510,7 @@ func (c *Client) connNow() *clientConn {
 	return c.cur
 }
 
-// ProtocolInfo reports the current connection's negotiated protocol version
-// and frame codec ("gob" or "binary"), for operator surfaces (watchtail,
-// debug planes). Version 0 means no connection, or the server's hello has
-// not arrived yet; version 2 means the client speaks legacy v2.
-func (c *Client) ProtocolInfo() (version int, codec string) {
-	cc := c.connNow()
-	if cc == nil {
-		return 0, ""
-	}
-	p := int(cc.proto.Load())
-	if p == 0 && c.hbIv < 0 {
-		p = protoV2
-	}
-	if p == 0 {
-		return 0, ""
-	}
-	return p, codecName(p)
-}
-
-// heartbeatLoop keeps an idle v3 stream visibly alive toward the server,
+// heartbeatLoop keeps an idle stream visibly alive toward the server,
 // which sizes its read deadline from the interval we announced.
 func (c *Client) heartbeatLoop(cc *clientConn) {
 	if c.hbIv <= 0 {
@@ -1677,7 +1527,7 @@ func (c *Client) heartbeatLoop(cc *clientConn) {
 		if time.Since(time.Unix(0, cc.lastSend.Load())) < c.hbIv {
 			continue
 		}
-		if err := c.sendOn(cc, func(e frameEncoder) error { return e.heartbeat() }); err != nil {
+		if err := c.sendOn(cc, func(e *binEncoder) error { return e.heartbeat() }); err != nil {
 			c.connFailed(cc, err)
 			return
 		}
@@ -1697,14 +1547,11 @@ func (c *Client) readLoop(cc *clientConn) {
 
 // readFrames decodes frames until the connection fails, returning the
 // failure. The event-batch decode target is persistent: its Evs backing
-// array is reused across batches (both codecs grow it only when a batch
-// exceeds the previous capacity; the per-frame recycled-element zeroing
-// lives in the decoders). The stream starts gob and switches to the binary
-// codec at the server's tagUpgrade marker.
+// array is reused across batches (the decoder grows it only when a batch
+// exceeds the previous capacity, and zeroes recycled elements per frame).
+// The stream must open with the server's hello.
 func (c *Client) readFrames(cc *clientConn) error {
-	br := bufio.NewReaderSize(&countingReader{r: cc.conn, c: c.met.bytes}, connReadBuffer)
-	var dec frameDecoder = newGobFrameDecoder(gob.NewDecoder(br))
-	usingBin := false
+	dec := newBinDecoder(bufio.NewReaderSize(&countingReader{r: cc.conn, c: c.met.bytes}, connReadBuffer))
 	var batch eventBatchMsg
 	fail := func(op string, err error) error {
 		if connLossErr(err) {
@@ -1717,60 +1564,26 @@ func (c *Client) readFrames(cc *clientConn) error {
 	// frame, stretching the effective timeout to at most 1.25×.
 	var armedAt time.Time
 	var armedTO time.Duration
-	for {
-		var to time.Duration
-		if cc.proto.Load() >= protoV3 {
-			to = readTimeoutFor(cc.peerHB.Load())
-		} else if c.hbIv > 0 {
-			// Provisional deadline until the server's hello arrives, sized
-			// from our own interval: a connection blackholed right after
-			// dial must not hang the read loop forever either.
-			to = readTimeoutFor(int64(c.hbIv))
-		}
-		if to != 0 {
-			if now := time.Now(); to != armedTO || now.Sub(armedAt) > to/4 {
-				cc.conn.SetReadDeadline(now.Add(to))
-				armedAt, armedTO = now, to
-			}
+	for first := true; ; first = false {
+		to := readTimeoutFor(cc.peerHB.Load())
+		if now := time.Now(); to != armedTO || now.Sub(armedAt) > to/4 {
+			cc.conn.SetReadDeadline(now.Add(to))
+			armedAt, armedTO = now, to
 		}
 		tag, err := dec.readTag()
 		if err != nil {
 			return fail("tag", err)
 		}
-		if usingBin {
-			c.met.codecV4Frames.Inc()
-		} else {
-			c.met.codecV3Frames.Inc()
-		}
-		switch tag {
-		case tagHello:
+		if first {
 			var h helloMsg
-			if err := dec.decodeHello(&h); err != nil {
-				return fail("hello", err)
+			if err := expectHello(dec, tag, &h); err != nil {
+				c.met.decodeErrs.Inc()
+				return err
 			}
 			cc.peerHB.Store(int64(time.Duration(h.HeartbeatMillis) * time.Millisecond))
-			neg := int(h.Version)
-			if neg < protoV3 {
-				neg = protoV3
-			}
-			if neg > c.announce {
-				neg = c.announce
-			}
-			cc.proto.Store(int32(neg))
-			if neg >= protoV4 {
-				// The server agreed on v4: announce our own codec switch with
-				// a gob tagUpgrade marker and swap the send side to binary.
-				// (The server's receive side stays gob until the marker
-				// arrives, so frames already sent are unaffected.)
-				if err := c.upgradeSend(cc); err != nil {
-					return err
-				}
-			}
-		case tagUpgrade:
-			// The server's codec switch marker: every server→client frame
-			// from here on is binary.
-			dec = newBinDecoder(br)
-			usingBin = true
+			continue
+		}
+		switch tag {
 		case tagHeartbeat:
 			// Liveness only: the next loop iteration re-arms the deadline.
 		case tagShutdown:
@@ -1936,7 +1749,7 @@ func (c *Client) retryWatch(w *clientWatch) {
 		return
 	}
 	req := &watchReq{ID: w.id, Low: w.rng.Low, High: w.rng.High, From: w.resume.Version()}
-	if err := c.sendOn(cc, func(e frameEncoder) error { return e.watch(req) }); err != nil {
+	if err := c.sendOn(cc, func(e *binEncoder) error { return e.watch(req) }); err != nil {
 		c.connFailed(cc, err)
 	}
 }
@@ -2090,17 +1903,7 @@ func (c *Client) resume(gen int, conn net.Conn) error {
 		c.mu.Unlock()
 		return ErrClientClosed
 	}
-	c.gen++
-	cc := &clientConn{
-		conn:     conn,
-		bw:       bufio.NewWriterSize(conn, 4<<10),
-		gen:      c.gen,
-		done:     make(chan struct{}),
-		readDone: make(chan struct{}),
-	}
-	cc.enc = newGobFrameEncoder(gob.NewEncoder(cc.bw))
-	c.cur = cc
-	c.lastRead = cc.readDone
+	cc := c.newConnLocked(conn)
 	gen = c.gen
 	var watches []*clientWatch
 	for _, w := range c.watches {
@@ -2125,7 +1928,7 @@ func (c *Client) resume(gen int, conn net.Conn) error {
 	for _, w := range watches {
 		from := w.resume.Version()
 		req := &watchReq{ID: w.id, Low: w.rng.Low, High: w.rng.High, From: from}
-		if err := c.sendOn(cc, func(e frameEncoder) error { return e.watch(req) }); err != nil {
+		if err := c.sendOn(cc, func(e *binEncoder) error { return e.watch(req) }); err != nil {
 			c.dropConn(cc)
 			return err
 		}
@@ -2136,7 +1939,7 @@ func (c *Client) resume(gen int, conn net.Conn) error {
 	}
 	for i, acc := range snaps {
 		req := &snapshotReq{ID: snapIDs[i], Low: acc.rng.Low, High: acc.rng.High}
-		if err := c.sendOn(cc, func(e frameEncoder) error { return e.snapshot(req) }); err != nil {
+		if err := c.sendOn(cc, func(e *binEncoder) error { return e.snapshot(req) }); err != nil {
 			c.dropConn(cc)
 			return err
 		}
@@ -2195,7 +1998,7 @@ func (c *Client) Watch(r keyspace.Range, from core.Version, cb core.WatchCallbac
 
 	if cc != nil {
 		req := &watchReq{ID: id, Low: r.Low, High: r.High, From: from}
-		if err := c.sendOn(cc, func(e frameEncoder) error { return e.watch(req) }); err != nil {
+		if err := c.sendOn(cc, func(e *binEncoder) error { return e.watch(req) }); err != nil {
 			if !c.policy.Enabled {
 				c.mu.Lock()
 				delete(c.watches, id)
@@ -2217,7 +2020,7 @@ func (c *Client) Watch(r keyspace.Range, from core.Version, cb core.WatchCallbac
 			cc := c.cur
 			c.mu.Unlock()
 			if cc != nil {
-				_ = c.sendOn(cc, func(e frameEncoder) error { return e.cancelWatch(&cancelReq{ID: id}) })
+				_ = c.sendOn(cc, func(e *binEncoder) error { return e.cancelWatch(&cancelReq{ID: id}) })
 			}
 		})
 	}, nil
@@ -2248,7 +2051,7 @@ func (c *Client) SnapshotRange(r keyspace.Range) ([]core.Entry, core.Version, er
 
 	if cc != nil {
 		req := &snapshotReq{ID: id, Low: r.Low, High: r.High}
-		if err := c.sendOn(cc, func(e frameEncoder) error { return e.snapshot(req) }); err != nil {
+		if err := c.sendOn(cc, func(e *binEncoder) error { return e.snapshot(req) }); err != nil {
 			if !c.policy.Enabled {
 				c.mu.Lock()
 				delete(c.snaps, id)

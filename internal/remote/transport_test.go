@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -9,6 +10,36 @@ import (
 	"unbundle/internal/metrics"
 	"unbundle/internal/trace"
 )
+
+// nopSnap is a Snapshotter for transport tests that never resync.
+type nopSnap struct{}
+
+func (nopSnap) SnapshotRange(keyspace.Range) ([]core.Entry, core.Version, error) {
+	return nil, 0, nil
+}
+
+// fixedSnapStore serves a fixed in-memory snapshot.
+type fixedSnapStore struct{ entries []core.Entry }
+
+func newFixedSnapStore(n, valSize int) *fixedSnapStore {
+	val := make([]byte, valSize)
+	for i := range val {
+		val[i] = byte(i)
+	}
+	s := &fixedSnapStore{}
+	for i := 0; i < n; i++ {
+		s.entries = append(s.entries, core.Entry{
+			Key:     keyspace.Key(fmt.Sprintf("key-%08d", i)),
+			Value:   val,
+			Version: core.Version(i + 1),
+		})
+	}
+	return s
+}
+
+func (s *fixedSnapStore) SnapshotRange(r keyspace.Range) ([]core.Entry, core.Version, error) {
+	return s.entries, core.Version(len(s.entries)), nil
+}
 
 // TestSnapshotChunkingLargeSnapshot is the snapshot-streaming regression
 // test: a snapshot far larger than the connection's write buffer and the
@@ -20,7 +51,7 @@ func TestSnapshotChunkingLargeSnapshot(t *testing.T) {
 	reg := metrics.NewRegistry()
 	hub := core.NewHub(core.HubConfig{Metrics: reg})
 	defer hub.Close()
-	store := newBenchSnapStore(8192, 1024) // 8 MiB snapshot
+	store := newFixedSnapStore(8192, 1024) // 8 MiB snapshot
 	srv, err := ServeWith("127.0.0.1:0", hub, store, ServerConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
