@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-replay bench-diff chaos fuzz tracestress traceguard recguard govguard detectors soak soak-short verify clean
+.PHONY: build test race vet ab bench bench-replay bench-diff chaos fuzz tracestress traceguard recguard govguard detectors soak soak-short verify clean
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,36 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# ab is the A/B tool for `go run ./bench`, and the only accepted evidence for
+# a performance claim: it builds ./bench from a throwaway git worktree of BASE
+# (side a) and from this working tree (side b), runs the two binaries
+# alternately in one session — N pairs, the side that goes first alternating —
+# and prints -compare's table: both sides' medians and quartile spreads per
+# workload and metric, the gap against BENCHMARK.json's bound, exit 1 over
+# bound. Everything it writes is under a temp dir it removes, worktree
+# included. A pair of all four workloads takes about 4 minutes.
+#   make ab BASE=HEAD~1            make ab BASE=main N=5 WORKLOAD=recover_snapshot
+N ?= 10
+WORKLOAD ?= all
+
+ab:
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<ref> [N=10] [WORKLOAD=all]" >&2; exit 2; }
+	@set -e; T=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$T/base" >/dev/null 2>&1 || true; rm -rf "$$T"' EXIT; \
+	trap 'exit 130' INT TERM; \
+	git worktree add --detach "$$T/base" "$(BASE)" >/dev/null; \
+	(cd "$$T/base" && $(GO) build -o "$$T/a" ./bench); \
+	$(GO) build -o "$$T/b" ./bench; \
+	for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi; \
+		for side in $$order; do \
+			"$$T/$$side" -workload $(WORKLOAD) -trace=false -out "$$T/$$side.jsonl" >/dev/null; \
+		done; \
+		echo "ab: pair $$i of $(N) done" >&2; \
+	done; \
+	echo "a = $(BASE) ($$(git rev-parse --short "$(BASE)")), b = working tree at $$(git rev-parse --short HEAD)"; \
+	"$$T/b" -compare "$$T/a.jsonl" "$$T/b.jsonl"
 
 # bench runs the hub/store microbenchmarks 5× each and folds the medians
 # into BENCH_hub.json under BENCH_LABEL — the repo's perf trajectory. Raw

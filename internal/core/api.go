@@ -251,3 +251,66 @@ type Entry struct {
 type Snapshotter interface {
 	SnapshotRange(r keyspace.Range) (entries []Entry, at Version, err error)
 }
+
+// SnapshotCursor streams one range snapshot a chunk at a time, every chunk at
+// the same version. A cursor holds no lock and no pin between calls, so it
+// needs no Close: abandoning one mid-stream costs nothing.
+type SnapshotCursor interface {
+	// Next fills buf (from index 0, at most cap(buf) entries, which must be
+	// at least 1) with the next entries in key order and returns the filled
+	// prefix; done reports that the snapshot is complete, and may come with
+	// an empty last chunk. The first call pins the snapshot version, so the
+	// version and the first chunk come from one consistent read. Entry values
+	// may alias the source's immutable storage; the Entry structs themselves
+	// are the caller's. An error ends the stream: what was returned so far is
+	// a prefix, not a snapshot.
+	Next(buf []Entry) (entries []Entry, done bool, err error)
+	// At is the version the snapshot reflects, and Bound an upper bound on
+	// its entry count (0 = unknown) that is only good for sizing buffers.
+	// Both are fixed by the first successful Next.
+	At() Version
+	Bound() int
+}
+
+// CursorSnapshotter is an optional capability beside Snapshotter: a source
+// that can serve a snapshot without materialising it. A transport holds
+// O(chunk) memory and the source is locked only inside Next.
+type CursorSnapshotter interface {
+	Snapshotter
+	SnapshotCursor(r keyspace.Range) SnapshotCursor
+}
+
+// OpenSnapshot returns a cursor over s's snapshot of r: the source's own when
+// it has the capability, else one that reads SnapshotRange on the first Next
+// and hands the slice out chunk by chunk.
+func OpenSnapshot(s Snapshotter, r keyspace.Range) SnapshotCursor {
+	if cs, ok := s.(CursorSnapshotter); ok {
+		return cs.SnapshotCursor(r)
+	}
+	return &sliceCursor{src: s, rng: r}
+}
+
+type sliceCursor struct {
+	src     Snapshotter
+	rng     keyspace.Range
+	entries []Entry // unread remainder, once read is set
+	read    bool
+	at      Version
+	bound   int
+}
+
+func (c *sliceCursor) Next(buf []Entry) ([]Entry, bool, error) {
+	if !c.read {
+		entries, at, err := c.src.SnapshotRange(c.rng)
+		if err != nil {
+			return nil, false, err
+		}
+		c.entries, c.at, c.bound, c.read = entries, at, len(entries), true
+	}
+	buf = buf[:min(cap(buf), len(c.entries))]
+	c.entries = c.entries[copy(buf, c.entries):]
+	return buf, len(c.entries) == 0, nil
+}
+
+func (c *sliceCursor) At() Version { return c.at }
+func (c *sliceCursor) Bound() int  { return c.bound }

@@ -161,6 +161,124 @@ func TestHubProgressCoalescing(t *testing.T) {
 	}
 }
 
+// TestRingProgressNeverPassesQueuedEvent pins the supersede rule: a progress
+// mark may be raised in place only while nothing but marks is queued behind
+// it. With [ev v1, P v1, ev v2] queued, P v2 must land behind ev v2 — raised
+// in place it would read [ev v1, P v2, ev v2] and claim v2 complete before
+// delivering it.
+func TestRingProgressNeverPassesQueuedEvent(t *testing.T) {
+	r := newRing(8)
+	full := keyspace.Full()
+	ev := func(v Version) item { return item{kind: kindEvent, ev: put("k", v)} }
+	prog := func(v Version) item {
+		return item{kind: kindProgress, prog: ProgressEvent{Range: full, Version: v}}
+	}
+	for _, it := range []item{ev(1), prog(1), ev(2), prog(2), prog(3), prog(2)} {
+		if !r.enqueue(it) {
+			t.Fatalf("enqueue %+v refused", it)
+		}
+	}
+	// ev v1, ev v2 and one tail mark (P v2 raised in place to v3, the stale
+	// P v2 after it absorbed); the voided P v1 is not counted.
+	if d := r.depth(); d != 3 {
+		t.Fatalf("depth = %d, want 3 live items", d)
+	}
+	batch, _, ok := r.drain(nil)
+	if !ok {
+		t.Fatal("drain reported cancelled")
+	}
+	// The voided slot is gone, so the two events are one contiguous run, and
+	// the mark carries the highest version claimed for the range.
+	want := []item{ev(1), ev(2), prog(3)}
+	if len(batch) != len(want) {
+		t.Fatalf("drained %d items, want %d: %+v", len(batch), len(want), batch)
+	}
+	for i := range want {
+		if batch[i].kind != want[i].kind || batch[i].ev.Version != want[i].ev.Version || batch[i].prog != want[i].prog {
+			t.Fatalf("batch[%d] = %+v, want %+v", i, batch[i], want[i])
+		}
+	}
+
+	// A superseding mark never carries a lower version than the one it voids.
+	for _, it := range []item{prog(9), ev(4), prog(5)} {
+		r.enqueue(it)
+	}
+	batch, _, _ = r.drain(batch)
+	if len(batch) != 2 || batch[0].ev.Version != 4 || batch[1].prog.Version != 9 {
+		t.Fatalf("after a stale claim: %+v, want [ev v4, P v9]", batch)
+	}
+
+	// Superseding leaves the live count unchanged, so a full ring takes the
+	// mark either way: moved to the tail, or raised in place.
+	small := newRing(2)
+	small.enqueue(prog(1))
+	small.enqueue(ev(2))
+	if !small.enqueue(prog(2)) {
+		t.Fatal("superseding mark refused by a full ring")
+	}
+	batch, _, _ = small.drain(batch)
+	if len(batch) != 2 || batch[0].ev.Version != 2 || batch[1].prog.Version != 2 {
+		t.Fatalf("full ring after a supersede: %+v, want [ev v2, P v2]", batch)
+	}
+	small = newRing(2)
+	small.enqueue(ev(1))
+	small.enqueue(prog(1))
+	if !small.enqueue(prog(2)) {
+		t.Fatal("in-place raise refused by a full ring")
+	}
+}
+
+// TestRingVoidedSlotsDoNotCountAgainstMax is the stalled watcher that gets one
+// progress mark per commit: every mark but the last is voided behind the next
+// event, and the ring must still hold max live items — reclaiming the voided
+// slots as it grows and once it cannot — and hand them out in order.
+func TestRingVoidedSlotsDoNotCountAgainstMax(t *testing.T) {
+	const max = 3*ringMinCap + 9
+	r := newRing(max)
+	full := keyspace.Full()
+	other := keyspace.Range{Low: "a", High: "b"}
+	prog := func(rg keyspace.Range, v Version) item {
+		return item{kind: kindProgress, prog: ProgressEvent{Range: rg, Version: v}}
+	}
+	// A second range's mark queued once at the head stays put through every
+	// compaction and is still superseded correctly at the end.
+	r.enqueue(prog(other, 0))
+	v := Version(0)
+	for {
+		if !r.enqueue(item{kind: kindEvent, ev: put("k", v+1)}) {
+			break
+		}
+		v++
+		if !r.enqueue(prog(full, v)) {
+			t.Fatalf("mark v%d refused with %d live items", v, r.depth())
+		}
+		if d := r.depth(); d != int(v)+2 {
+			t.Fatalf("after commit v%d: depth %d, want %d", v, d, v+2)
+		}
+	}
+	if want := Version(max - 2); v != want {
+		t.Fatalf("ring of %d took %d commits before overflowing, want %d", max, v, want)
+	}
+	if !r.enqueue(prog(other, v)) {
+		t.Fatal("superseding mark refused by a full ring")
+	}
+	batch, high, _ := r.drain(nil)
+	if high != max {
+		t.Fatalf("highwater = %d, want %d live items", high, max)
+	}
+	if len(batch) != max {
+		t.Fatalf("drained %d items, want %d", len(batch), max)
+	}
+	for i, it := range batch[:max-2] {
+		if it.kind != kindEvent || it.ev.Version != Version(i+1) {
+			t.Fatalf("batch[%d] = %+v, want ev v%d", i, it, i+1)
+		}
+	}
+	if a, b := batch[max-2].prog, batch[max-1].prog; a != prog(full, v).prog || b != prog(other, v).prog {
+		t.Fatalf("tail marks = %+v, %+v", a, b)
+	}
+}
+
 // TestQuickHubAppendBatchPerKeyOrder is the cross-shard ordering property
 // test: randomized batches with interleaved keys, fed through AppendBatch
 // into a multi-shard hub, must reach every overlapping watcher complete and

@@ -12,7 +12,10 @@ import (
 type itemKind uint8
 
 const (
-	kindEvent itemKind = iota + 1
+	// kindVoid (the zero item) is a superseded progress mark: it holds its
+	// slot until the next drain, which drops it.
+	kindVoid itemKind = iota
+	kindEvent
 	kindProgress
 	kindResync
 )
@@ -52,7 +55,8 @@ const (
 //     reallocated by append),
 //   - coalesces queued ProgressEvents for the same clipped range — only the
 //     newest frontier claim matters, so a burst of progress ticks occupies
-//     one slot instead of filling the buffer,
+//     one slot instead of filling the buffer — without ever letting a claim
+//     move ahead of an event queued before it (see pushLocked),
 //   - tracks its highwater locally and leaves publishing it to the drain
 //     side, keeping metrics entirely off the enqueue path.
 type ring struct {
@@ -61,8 +65,8 @@ type ring struct {
 
 	buf   []item
 	start int // index of the oldest queued item
-	n     int // queued item count
-	max   int // bound; enqueue past it fails (resyncs bypass)
+	n     int // occupied slot count, voided ones included
+	max   int // bound on live items; enqueue past it fails (resyncs bypass)
 
 	state     ringState
 	cancelled atomic.Bool // mirrors state==ringCancelled for lock-free checks
@@ -71,10 +75,15 @@ type ring struct {
 	high     int    // highwater since the last drain
 
 	// progAt maps a clipped progress range to the absolute sequence number of
-	// its queued item, enabling O(1) in-place coalescing. Sequence numbers
-	// (headSeq + offset) survive buffer growth and rotation.
+	// its queued item, enabling O(1) coalescing. Sequence numbers (headSeq +
+	// offset) survive buffer growth and rotation.
 	progAt  map[keyspace.Range]uint64
 	headSeq uint64 // absolute sequence number of buf[start]
+	// barrier is one past the sequence number of the newest queued item that
+	// is not a progress mark: a mark at or beyond it has nothing but marks
+	// behind it.
+	barrier uint64
+	voided  int // kindVoid slots among the n queued; they do not count against max
 
 	// acct, when non-nil, is the governor's "rings" account: heldBytes — the
 	// undelivered backlog's payload footprint — is charged on enqueue and
@@ -123,27 +132,70 @@ func (r *ring) growLocked() {
 	r.start = 0
 }
 
-// pushLocked appends one item, reporting false when the queue is full.
+// compactLocked drops the voided slots in place, closing the gaps toward the
+// head, and re-points progAt and barrier at the items that moved.
+func (r *ring) compactLocked() {
+	live := 0
+	for i := 0; i < r.n; i++ {
+		it := &r.buf[(r.start+i)%len(r.buf)]
+		switch it.kind {
+		case kindVoid:
+			continue
+		case kindProgress:
+			r.progAt[it.prog.Range] = r.headSeq + uint64(live)
+		default:
+			r.barrier = r.headSeq + uint64(live) + 1
+		}
+		if live != i {
+			r.buf[(r.start+live)%len(r.buf)] = *it
+			*it = item{}
+		}
+		live++
+	}
+	r.n, r.voided = live, 0
+}
+
+// pushLocked appends one item, reporting false when max live items are queued.
+//
+// A progress mark supersedes the queued mark for the same clipped range. With
+// nothing but marks queued behind the old one it is raised in place. With an
+// event behind it, raising in place would tell the watcher "complete through
+// v" ahead of that event, so the old slot is voided and the new mark queues
+// at the tail, never below the version it replaces.
 func (r *ring) pushLocked(it item) bool {
 	if it.kind == kindProgress {
-		// Coalesce: a queued frontier claim for the same clipped range is
-		// superseded by the newer one in place.
 		if pos, ok := r.progAt[it.prog.Range]; ok && pos >= r.headSeq {
 			slot := &r.buf[(r.start+int(pos-r.headSeq))%len(r.buf)]
 			if slot.kind == kindProgress && slot.prog.Range == it.prog.Range {
-				if it.prog.Version > slot.prog.Version {
-					slot.prog.Version = it.prog.Version
+				if pos >= r.barrier {
+					if it.prog.Version > slot.prog.Version {
+						slot.prog.Version = it.prog.Version
+					}
+					r.enqueued++
+					return true
 				}
-				r.enqueued++
-				return true
+				if slot.prog.Version > it.prog.Version {
+					it.prog.Version = slot.prog.Version
+				}
+				*slot = item{}
+				r.voided++
+				if r.acct != nil {
+					r.heldBytes -= segEventOverhead
+				}
 			}
 		}
 	}
-	if r.n >= r.max {
+	if r.n-r.voided >= r.max {
 		return false
 	}
 	if r.n == len(r.buf) {
-		r.growLocked()
+		// Voided slots do not count against max; reclaim them once they are
+		// half the array (amortised O(1)) or the array cannot grow.
+		if r.voided > 0 && (r.voided*2 >= r.n || len(r.buf) >= r.max) {
+			r.compactLocked()
+		} else {
+			r.growLocked()
+		}
 	}
 	pos := r.start + r.n
 	if pos >= len(r.buf) {
@@ -155,14 +207,16 @@ func (r *ring) pushLocked(it item) bool {
 			r.progAt = make(map[keyspace.Range]uint64, 4)
 		}
 		r.progAt[it.prog.Range] = r.headSeq + uint64(r.n)
+	} else {
+		r.barrier = r.headSeq + uint64(r.n) + 1
 	}
 	if r.acct != nil {
 		r.heldBytes += itemBytes(&it)
 	}
 	r.n++
 	r.enqueued++
-	if r.n > r.high {
-		r.high = r.n
+	if live := r.n - r.voided; live > r.high {
+		r.high = live
 	}
 	return true
 }
@@ -236,8 +290,9 @@ func (r *ring) lagOut(rs ResyncEvent) {
 	// this queue will ever carry.
 	r.buf = []item{{kind: kindResync, resync: rs}}
 	r.start = 0
-	r.n = 1
+	r.n, r.voided = 1, 0
 	r.headSeq += uint64(r.n)
+	r.barrier = r.headSeq + 1
 	r.progAt = nil
 	var delta int64
 	if r.acct != nil {
@@ -266,7 +321,7 @@ func (r *ring) stop() {
 	r.state = ringCancelled
 	r.cancelled.Store(true)
 	r.buf = nil
-	r.start, r.n = 0, 0
+	r.start, r.n, r.voided = 0, 0, 0
 	r.progAt = nil
 	freed := r.heldBytes
 	r.heldBytes = 0
@@ -308,8 +363,20 @@ func (r *ring) drain(dst []item) (batch []item, high int, ok bool) {
 			tail[i] = item{}
 		}
 	}
+	if r.voided > 0 {
+		// Drop superseded marks, so the event runs on either side of one
+		// reach the callback as a single batch.
+		live := dst[:0]
+		for i := range dst {
+			if dst[i].kind != kindVoid {
+				live = append(live, dst[i])
+			}
+		}
+		clear(dst[len(live):])
+		dst = live
+	}
 	r.headSeq += uint64(r.n)
-	r.start, r.n = 0, 0
+	r.start, r.n, r.voided = 0, 0, 0
 	for k := range r.progAt {
 		delete(r.progAt, k)
 	}
@@ -338,9 +405,9 @@ func (r *ring) held() int64 {
 	return r.heldBytes
 }
 
-// depth returns the current queue length (tests only).
+// depth returns the number of live items queued.
 func (r *ring) depth() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.n - r.voided
 }

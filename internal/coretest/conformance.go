@@ -42,6 +42,7 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run(name+"/DeliversInPerKeyOrder", func(t *testing.T) { runOrder(t, factory) })
 	t.Run(name+"/RangeFiltering", func(t *testing.T) { runRangeFilter(t, factory) })
 	t.Run(name+"/ProgressReachesSourceVersion", func(t *testing.T) { runProgress(t, factory) })
+	t.Run(name+"/ProgressNeverAheadOfEvents", func(t *testing.T) { runProgressOrder(t, factory) })
 	t.Run(name+"/ResyncOnEvictedHistory", func(t *testing.T) { runResync(t, factory) })
 	t.Run(name+"/CancelStopsDelivery", func(t *testing.T) { runCancel(t, factory) })
 	t.Run(name+"/WatchValidation", func(t *testing.T) { runValidation(t, factory) })
@@ -161,6 +162,74 @@ func runProgress(t *testing.T, factory Factory) {
 	defer mu.Unlock()
 	if frontier > last {
 		t.Fatalf("frontier %v beyond source version %v", frontier, last)
+	}
+}
+
+// runProgressOrder asserts "progress never lies" against a consumer slower
+// than ingest: when OnProgress(v) arrives, every event of its range with
+// version <= v has already been delivered. The first event wedges the
+// delivery goroutine while the rest are committed, so events and progress
+// marks pile up behind it — the state in which a watch system that coalesces
+// queued marks can raise one past an event still in the queue.
+func runProgressOrder(t *testing.T, factory Factory) {
+	env := factory(bigHub())
+	defer env.Close()
+	type delivery struct {
+		ev   core.ChangeEvent
+		prog *core.ProgressEvent // non-nil: a progress delivery
+	}
+	var mu sync.Mutex
+	var log []delivery
+	events := 0
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter, open sync.Once
+	defer open.Do(func() { close(release) })
+	cancel, err := env.Watch.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
+		Event: func(ev core.ChangeEvent) {
+			enter.Do(func() { close(entered); <-release })
+			mu.Lock()
+			log = append(log, delivery{ev: ev})
+			events++
+			mu.Unlock()
+		},
+		Progress: func(p core.ProgressEvent) {
+			mu.Lock()
+			log = append(log, delivery{prog: &p})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	const n = 64
+	put := func(i int) { env.Put(keyspace.Key(fmt.Sprintf("k%d", i%7)), []byte{byte(i)}) }
+	put(0)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("conformance: timed out waiting for the first event")
+	}
+	for i := 1; i < n; i++ {
+		put(i)
+	}
+	open.Do(func() { close(release) })
+	wait(t, "all events", func() bool { mu.Lock(); defer mu.Unlock(); return events == n })
+
+	// Every event is in the log now, so it is the universe to check against.
+	mu.Lock()
+	defer mu.Unlock()
+	for i, d := range log {
+		if d.prog == nil {
+			continue
+		}
+		for _, later := range log[i+1:] {
+			if later.prog == nil && later.ev.Version <= d.prog.Version && d.prog.Range.Contains(later.ev.Key) {
+				t.Fatalf("progress %v over %v delivered before event %q at %v",
+					d.prog.Version, d.prog.Range, string(later.ev.Key), later.ev.Version)
+			}
+		}
 	}
 }
 

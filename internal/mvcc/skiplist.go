@@ -7,15 +7,33 @@ import (
 )
 
 // maxLevel bounds the skiplist height; 2^24 keys is far beyond any
-// experiment in this repository.
-const maxLevel = 24
+// experiment in this repository. A node keeps its lowest inlineLevels links
+// in itself and the rest, if it is that tall (1 node in 256), in an array of
+// its own: 64 B a key where a full-height tower was 224 B.
+const (
+	maxLevel     = 24
+	inlineLevels = 4
+)
 
 // skipNode is one key's node. The value payload is the key's version
 // history, owned by the store.
 type skipNode struct {
 	key  keyspace.Key
 	hist *history
-	next [maxLevel]*skipNode
+	low  [inlineLevels]*skipNode
+	high *[maxLevel - inlineLevels]*skipNode // nil up to inlineLevels levels
+}
+
+// link is the node's forward pointer at level i, which must be below the
+// node's level. The low levels, where a walk meets most of its distinct
+// nodes, are read straight from the node as a full-height array would be; a
+// slice-typed tower cost a dependent load more on every step (+5 % on an
+// 8-key commit).
+func (n *skipNode) link(i int) **skipNode {
+	if i < inlineLevels {
+		return &n.low[i]
+	}
+	return &n.high[i-inlineLevels]
 }
 
 // skiplist is an ordered map from Key to *history. It is not internally
@@ -30,7 +48,11 @@ type skiplist struct {
 }
 
 func newSkiplist(seed int64) *skiplist {
-	return &skiplist{level: 1, rng: rand.New(rand.NewSource(seed))}
+	return &skiplist{
+		head:  skipNode{high: new([maxLevel - inlineLevels]*skipNode)},
+		level: 1,
+		rng:   rand.New(rand.NewSource(seed)),
+	}
 }
 
 // randomLevel draws a geometric level with p = 1/4.
@@ -44,14 +66,7 @@ func (s *skiplist) randomLevel() int {
 
 // find returns the node for key, or nil.
 func (s *skiplist) find(key keyspace.Key) *history {
-	n := &s.head
-	for i := s.level - 1; i >= 0; i-- {
-		for n.next[i] != nil && n.next[i].key < key {
-			n = n.next[i]
-		}
-	}
-	n = n.next[0]
-	if n != nil && n.key == key {
+	if n := s.seek(key); n != nil && n.key == key {
 		return n.hist
 	}
 	return nil
@@ -62,12 +77,12 @@ func (s *skiplist) getOrCreate(key keyspace.Key) *history {
 	var update [maxLevel]*skipNode
 	n := &s.head
 	for i := s.level - 1; i >= 0; i-- {
-		for n.next[i] != nil && n.next[i].key < key {
-			n = n.next[i]
+		for nx := *n.link(i); nx != nil && nx.key < key; nx = *n.link(i) {
+			n = nx
 		}
 		update[i] = n
 	}
-	if cand := n.next[0]; cand != nil && cand.key == key {
+	if cand := n.low[0]; cand != nil && cand.key == key {
 		return cand.hist
 	}
 	lvl := s.randomLevel()
@@ -78,9 +93,12 @@ func (s *skiplist) getOrCreate(key keyspace.Key) *history {
 		s.level = lvl
 	}
 	node := &skipNode{key: key, hist: &history{}}
+	if lvl > inlineLevels {
+		node.high = new([maxLevel - inlineLevels]*skipNode)
+	}
 	for i := 0; i < lvl; i++ {
-		node.next[i] = update[i].next[i]
-		update[i].next[i] = node
+		*node.link(i) = *update[i].link(i)
+		*update[i].link(i) = node
 	}
 	s.size++
 	return node.hist
@@ -90,11 +108,11 @@ func (s *skiplist) getOrCreate(key keyspace.Key) *history {
 func (s *skiplist) seek(k keyspace.Key) *skipNode {
 	n := &s.head
 	for i := s.level - 1; i >= 0; i-- {
-		for n.next[i] != nil && n.next[i].key < k {
-			n = n.next[i]
+		for nx := *n.link(i); nx != nil && nx.key < k; nx = *n.link(i) {
+			n = nx
 		}
 	}
-	return n.next[0]
+	return n.low[0]
 }
 
 // ascend calls fn for every (key, history) with key in r, in key order,
@@ -103,7 +121,7 @@ func (s *skiplist) ascend(r keyspace.Range, fn func(keyspace.Key, *history) bool
 	if r.Empty() {
 		return
 	}
-	for n := s.seek(r.Low); n != nil; n = n.next[0] {
+	for n := s.seek(r.Low); n != nil; n = n.low[0] {
 		if !r.Contains(n.key) {
 			return
 		}

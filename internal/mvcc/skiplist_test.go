@@ -30,16 +30,25 @@ func TestSkiplistInsertFind(t *testing.T) {
 
 func TestSkiplistAscendOrder(t *testing.T) {
 	s := newSkiplist(2)
-	perm := rand.New(rand.NewSource(3)).Perm(500)
+	const n = 5000 // enough keys that some towers outgrow the node's inline links
+	perm := rand.New(rand.NewSource(3)).Perm(n)
 	for _, i := range perm {
 		s.getOrCreate(keyspace.NumericKey(i))
+	}
+	if s.level <= inlineLevels {
+		t.Fatalf("list of %d keys is %d levels high: the tall-node path is untested", n, s.level)
+	}
+	for _, i := range perm {
+		if s.find(keyspace.NumericKey(i)) == nil {
+			t.Fatalf("key %d lost", i)
+		}
 	}
 	var got []keyspace.Key
 	s.ascend(keyspace.Full(), func(k keyspace.Key, _ *history) bool {
 		got = append(got, k)
 		return true
 	})
-	if len(got) != 500 {
+	if len(got) != n {
 		t.Fatalf("ascend visited %d keys", len(got))
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {

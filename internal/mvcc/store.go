@@ -107,7 +107,7 @@ func NewStore() *Store {
 	return &Store{keys: newSkiplist(42)}
 }
 
-var _ core.Snapshotter = (*Store)(nil)
+var _ core.CursorSnapshotter = (*Store)(nil)
 
 // SetTracer installs (or removes, with nil) the tracer that samples this
 // store's commits. Install the same tracer in the downstream watch system so
@@ -290,6 +290,15 @@ func (s *Store) AttachCDC(r keyspace.Range, ing core.Ingester) (detach func()) {
 	}
 }
 
+// readableLocked reports ErrVersionGCed for a read below the GC horizon.
+// Caller holds mu.
+func (s *Store) readableLocked(at core.Version) error {
+	if at < s.horizon {
+		return fmt.Errorf("%w: %v < %v", ErrVersionGCed, at, s.horizon)
+	}
+	return nil
+}
+
 // Get returns the value of k at version at (0 = latest), the version that
 // wrote it, and whether the key exists at that snapshot.
 func (s *Store) Get(k keyspace.Key, at core.Version) ([]byte, core.Version, bool, error) {
@@ -298,8 +307,8 @@ func (s *Store) Get(k keyspace.Key, at core.Version) ([]byte, core.Version, bool
 	if at == core.NoVersion {
 		at = s.version
 	}
-	if at < s.horizon {
-		return nil, 0, false, fmt.Errorf("%w: %v < %v", ErrVersionGCed, at, s.horizon)
+	if err := s.readableLocked(at); err != nil {
+		return nil, 0, false, err
 	}
 	h := s.keys.find(k)
 	if h == nil {
@@ -320,43 +329,117 @@ func (s *Store) Scan(r keyspace.Range, at core.Version, limit int) ([]core.Entry
 	if at == core.NoVersion {
 		at = s.version
 	}
-	if at < s.horizon {
-		return nil, fmt.Errorf("%w: %v < %v", ErrVersionGCed, at, s.horizon)
-	}
-	var out []core.Entry
-	s.keys.ascend(r, func(k keyspace.Key, h *history) bool {
-		vv, ok := h.at(at)
-		if ok && !vv.deleted {
-			out = append(out, core.Entry{Key: k, Value: vv.value, Version: vv.version})
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
-	})
-	return out, nil
+	return s.scanLocked(r, at, limit)
 }
 
 // SnapshotRange implements core.Snapshotter: a consistent snapshot of r at
-// the current version. This is the read path resyncing watchers use.
+// the current version, pinned and read in one critical section so that no
+// commit-then-GC can slip between the two.
 func (s *Store) SnapshotRange(r keyspace.Range) ([]core.Entry, core.Version, error) {
 	s.mu.RLock()
-	at := s.version
-	s.mu.RUnlock()
-	entries, err := s.Scan(r, at, 0)
+	defer s.mu.RUnlock()
+	entries, err := s.scanLocked(r, s.version, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	return entries, at, nil
+	return entries, s.version, nil
 }
+
+func (s *Store) scanLocked(r keyspace.Range, at core.Version, limit int) ([]core.Entry, error) {
+	if err := s.readableLocked(at); err != nil {
+		return nil, err
+	}
+	var out []core.Entry
+	if n := s.boundLocked(r); n > 0 {
+		if limit > 0 {
+			n = min(n, limit)
+		}
+		out = make([]core.Entry, 0, n)
+	}
+	return s.collectLocked(r, at, out, limit), nil
+}
+
+// boundLocked is an upper bound on the live entries of r at any version, or 0
+// when none is known cheaply: the key count for the whole keyspace, nothing
+// for a sub-range (the skiplist keeps no ranks, and the key count would
+// over-reserve a narrow range by orders of magnitude). Caller holds mu.
+func (s *Store) boundLocked(r keyspace.Range) int {
+	if r.ContainsRange(keyspace.Full()) {
+		return s.keys.size
+	}
+	return 0
+}
+
+// collectLocked is the one range walk under Scan, SnapshotRange and the
+// snapshot cursor: it appends to out the live entries of r at version at, in
+// key order, and returns as soon as limit have been added (limit <= 0: no
+// bound). Values alias the version chain — committed versions are immutable.
+// Caller holds mu.
+func (s *Store) collectLocked(r keyspace.Range, at core.Version, out []core.Entry, limit int) []core.Entry {
+	base := len(out)
+	s.keys.ascend(r, func(k keyspace.Key, h *history) bool {
+		vv, ok := h.at(at)
+		if !ok || vv.deleted {
+			return true
+		}
+		out = append(out, core.Entry{Key: k, Value: vv.value, Version: vv.version})
+		return limit <= 0 || len(out)-base < limit
+	})
+	return out
+}
+
+// SnapshotCursor implements core.CursorSnapshotter: a snapshot of r served a
+// chunk per Next instead of materialised. The first Next pins the current
+// version and reads the first chunk in one critical section; every Next
+// holds the read lock only for its own chunk, re-seeks from the last key it
+// returned, and re-checks the pinned version against the GC horizon — so a
+// GCBefore past the pin mid-stream ends the stream with ErrVersionGCed, and
+// commits between chunks are invisible to it, never a torn snapshot.
+func (s *Store) SnapshotCursor(r keyspace.Range) core.SnapshotCursor {
+	return &snapCursor{s: s, rest: r}
+}
+
+type snapCursor struct {
+	s      *Store
+	rest   keyspace.Range // what is left to read
+	pinned bool
+	at     core.Version
+	bound  int
+}
+
+func (c *snapCursor) Next(buf []core.Entry) ([]core.Entry, bool, error) {
+	s := c.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !c.pinned {
+		c.pinned, c.at, c.bound = true, s.version, s.boundLocked(c.rest)
+	}
+	if err := s.readableLocked(c.at); err != nil {
+		return nil, false, err
+	}
+	// A full chunk does not look ahead for a further live entry (that walk
+	// is unbounded over tombstones): the stream may end on an empty chunk.
+	limit := max(cap(buf), 1)
+	out := s.collectLocked(c.rest, c.at, buf[:0], limit)
+	done := len(out) < limit
+	if done {
+		c.rest = keyspace.Range{}
+	} else {
+		c.rest.Low = out[len(out)-1].Key.Next()
+	}
+	return out, done, nil
+}
+
+func (c *snapCursor) At() core.Version { return c.at }
+func (c *snapCursor) Bound() int       { return c.bound }
 
 // ValueAt returns the value of k exactly as of version v — the oracle the
 // consistency checkers use. ok is false when the key had no live value at v.
 func (s *Store) ValueAt(k keyspace.Key, v core.Version) (val []byte, ok bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if v < s.horizon {
-		return nil, false, fmt.Errorf("%w: %v < %v", ErrVersionGCed, v, s.horizon)
+	if err := s.readableLocked(v); err != nil {
+		return nil, false, err
 	}
 	h := s.keys.find(k)
 	if h == nil {

@@ -498,18 +498,6 @@ func BenchmarkStorePutHot(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreScanRange(b *testing.B) {
-	s := NewStore()
-	for i := 0; i < 20000; i++ {
-		s.Put(keyspace.NumericKey(i), []byte("v"))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := (i * 37) % 19000
-		s.Scan(keyspace.NumericRange(lo, lo+100), core.NoVersion, 0)
-	}
-}
-
 // BenchmarkStoreGCAblation quantifies the history-retention design choice:
 // each iteration writes a burst of versioned history and garbage-collects to
 // a horizon, reporting how many versions survive. Build and GC are timed

@@ -25,8 +25,13 @@ package remote
 //	              reason(string)
 //	overloaded := id(uvarint) retryAfterMillis(zigzag) reason(string)
 //	eventBatch := id(uvarint) count(uvarint) event*count
-//	snapChunk  := id(uvarint) count(uvarint) entry*count at(uvarint)
-//	              err(string) last(1 byte)
+//	snapChunk  := id(uvarint) flags(1 byte) [bound(uvarint)] at(uvarint)
+//	              err(string) count(uvarint) entry*count
+//	  flags bit 0: last chunk of the response
+//	        bit 1: bound present — on a response's first chunk, the server's
+//	               upper bound on the response's total entry count. A
+//	               capacity hint: the decoder clamps it and nothing but an
+//	               allocation size ever depends on it.
 //
 //	event := flags(1 byte) key vdelta(zigzag) [valueLen(uvarint) value]
 //	         [trace(uvarint)]
@@ -58,7 +63,11 @@ package remote
 // array, keys come from the dictionary, and value bytes are copied out into
 // one fresh block per frame (values are retainable by consumers, so they
 // must not alias the scratch buffer). Decode therefore costs one allocation
-// per frame carrying values, independent of event count.
+// per frame carrying values, independent of event count. Snapshot entries are
+// decoded straight onto the caller's accumulator: one value block sized to
+// the chunk's value bytes and one string holding the chunk's keys (each key a
+// substring of it), so a chunk costs two allocations however many entries it
+// carries.
 //
 // Hardening: the decoder trusts nothing. Frame lengths are capped at
 // maxFrameLen, every inner length is validated against the remaining
@@ -74,6 +83,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"unbundle/internal/core"
 	"unbundle/internal/keyspace"
@@ -90,6 +100,17 @@ const (
 	// sent literally; encoder and decoder stop growing at the same count so
 	// their indices stay aligned.
 	keyDictCap = 1 << 16
+	// maxSnapReserve clamps the entry-count bound a snapshot response
+	// announces: the most entries (48 MiB of them) a client will reserve room
+	// for on the server's word. A larger snapshot still arrives whole; its
+	// accumulator grows by append past this point.
+	maxSnapReserve = 1 << 20
+)
+
+// Snapshot chunk flag bits (see the format comment above).
+const (
+	snapLast     = 1 << 0
+	snapHasBound = 1 << 1
 )
 
 // Event flag bits (see the format comment above).
@@ -238,6 +259,19 @@ func (e *binEncoder) resync(id uint64, r core.ResyncEvent) error {
 func (e *binEncoder) snapChunk(ch *snapChunk) error {
 	e.buf = e.buf[:0]
 	e.u(ch.ID)
+	var flags byte
+	if ch.Last {
+		flags |= snapLast
+	}
+	if ch.Bound > 0 {
+		flags |= snapHasBound
+	}
+	e.buf = append(e.buf, flags)
+	if ch.Bound > 0 {
+		e.u(uint64(ch.Bound))
+	}
+	e.u(uint64(ch.At))
+	e.str(ch.Err)
 	e.u(uint64(len(ch.Entries)))
 	prev := core.NoVersion
 	for i := range ch.Entries {
@@ -247,13 +281,6 @@ func (e *binEncoder) snapChunk(ch *snapChunk) error {
 		e.z(int64(en.Version) - int64(prev))
 		prev = en.Version
 	}
-	e.u(uint64(ch.At))
-	e.str(ch.Err)
-	last := byte(0)
-	if ch.Last {
-		last = 1
-	}
-	e.buf = append(e.buf, last)
 	return e.frame(tagSnapChunk)
 }
 
@@ -292,10 +319,11 @@ func (e *binEncoder) snapshot(sr *snapshotReq) error {
 // payload) into a reusable scratch buffer; the decode methods parse it with
 // every length, count and reference validated. Not safe for concurrent use.
 type binDecoder struct {
-	r    *bufio.Reader
-	buf  []byte         // frame payload scratch, reused across frames
-	cur  []byte         // unparsed remainder of the current payload
-	keys []keyspace.Key // receive-side key dictionary, mirrors the encoder's
+	r        *bufio.Reader
+	buf      []byte         // frame payload scratch, reused across frames
+	cur      []byte         // unparsed remainder of the current payload
+	keys     []keyspace.Key // receive-side key dictionary, mirrors the encoder's
+	snapKeys []byte         // one snapshot chunk's key bytes, gathered; reused across chunks
 }
 
 func newBinDecoder(r *bufio.Reader) *binDecoder {
@@ -569,43 +597,25 @@ func (d *binDecoder) decodeResync(m *resyncMsg) error {
 	return d.end()
 }
 
+// decodeSnapChunk decodes a snapshot chunk up to its entries — everything the
+// receiver needs to pick the accumulator they belong on. decodeSnapEntries
+// must follow. A bound beyond maxSnapReserve is clamped here, so no caller
+// ever sees an outside value it could size an allocation by.
 func (d *binDecoder) decodeSnapChunk(m *snapChunk) error {
 	id, err := d.u()
 	if err != nil {
 		return err
 	}
-	count, err := d.u()
+	fb, err := d.take(1)
 	if err != nil {
 		return err
 	}
-	// Each entry costs at least three payload bytes (key len, value marker,
-	// vdelta).
-	if count > uint64(len(d.cur)) {
-		return errBadCount
-	}
-	var entries []core.Entry
-	if count > 0 {
-		entries = make([]core.Entry, 0, count)
-	}
-	vals := make([]byte, 0, len(d.cur))
-	var prev core.Version
-	for i := uint64(0); i < count; i++ {
-		key, err := d.key()
-		if err != nil {
+	flags := fb[0]
+	var bound uint64
+	if flags&snapHasBound != 0 {
+		if bound, err = d.u(); err != nil {
 			return err
 		}
-		var value []byte
-		vals, value, err = d.bytes1(vals)
-		if err != nil {
-			return err
-		}
-		delta, err := d.z()
-		if err != nil {
-			return err
-		}
-		ver := core.Version(uint64(int64(prev) + delta))
-		prev = ver
-		entries = append(entries, core.Entry{Key: key, Value: value, Version: ver})
 	}
 	at, err := d.u()
 	if err != nil {
@@ -615,16 +625,84 @@ func (d *binDecoder) decodeSnapChunk(m *snapChunk) error {
 	if err != nil {
 		return err
 	}
-	lb, err := d.take(1)
-	if err != nil {
-		return err
+	*m = snapChunk{
+		ID:    id,
+		At:    core.Version(at),
+		Bound: int(min(bound, maxSnapReserve)),
+		Err:   errStr,
+		Last:  flags&snapLast != 0,
 	}
-	m.ID = id
-	m.Entries = entries
-	m.At = core.Version(at)
-	m.Err = errStr
-	m.Last = lb[0] != 0
-	return d.end()
+	return nil
+}
+
+// decodeSnapEntries appends the current snapshot chunk's entries to dst and
+// returns it. The first pass validates every length and measures the chunk;
+// only then does the second pass append, so an error returns dst exactly as
+// it came in. Values land in one block sized to the chunk's value bytes and
+// keys are substrings of one string per chunk: nothing aliases the scratch
+// buffer, and a consumer retaining one entry pins one chunk's blocks.
+func (d *binDecoder) decodeSnapEntries(dst []core.Entry) ([]core.Entry, error) {
+	count, err := d.u()
+	if err != nil {
+		return dst, err
+	}
+	// Each entry costs at least three payload bytes (key len, value marker,
+	// vdelta).
+	if count > uint64(len(d.cur)) {
+		return dst, errBadCount
+	}
+	body := d.cur
+	d.snapKeys = d.snapKeys[:0]
+	valBytes := 0
+	for i := uint64(0); i < count; i++ {
+		n, err := d.u()
+		if err != nil {
+			return dst, err
+		}
+		k, err := d.take(n)
+		if err != nil {
+			return dst, err
+		}
+		d.snapKeys = append(d.snapKeys, k...)
+		if n, err = d.u(); err != nil {
+			return dst, err
+		}
+		if n > 0 {
+			if _, err := d.take(n - 1); err != nil {
+				return dst, err
+			}
+			valBytes += int(n - 1)
+		}
+		if _, err := d.z(); err != nil {
+			return dst, err
+		}
+	}
+	if err := d.end(); err != nil {
+		return dst, err
+	}
+	if count == 0 {
+		return dst, nil
+	}
+
+	// Second pass over a payload known to be well formed.
+	d.cur = body
+	keys := string(d.snapKeys)
+	vals := make([]byte, 0, valBytes)
+	dst = slices.Grow(dst, int(count))
+	var prev core.Version
+	off := 0
+	for i := uint64(0); i < count; i++ {
+		n, _ := d.u()
+		d.cur = d.cur[n:]
+		key := keyspace.Key(keys[off : off+int(n)])
+		off += int(n)
+		var value []byte
+		vals, value, _ = d.bytes1(vals)
+		delta, _ := d.z()
+		prev = core.Version(uint64(int64(prev) + delta))
+		dst = append(dst, core.Entry{Key: key, Value: value, Version: prev})
+	}
+	return dst, nil
 }
 
 func (d *binDecoder) decodeOverloaded(m *overloadedMsg) error {

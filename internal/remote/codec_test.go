@@ -40,14 +40,14 @@ var goldenFrames = []struct {
 }{
 	{
 		name:   "hello",
-		encode: func(e *binEncoder) error { return e.hello(&helloMsg{Version: 4, HeartbeatMillis: 1000}) },
+		encode: func(e *binEncoder) error { return e.hello(&helloMsg{Version: protoVersion, HeartbeatMillis: 1000}) },
 		check: func(t *testing.T, d *binDecoder, tag uint8) {
 			requireTag(t, tag, tagHello)
 			var h helloMsg
 			if err := d.decodeHello(&h); err != nil {
 				t.Fatal(err)
 			}
-			want := helloMsg{Version: 4, HeartbeatMillis: 1000}
+			want := helloMsg{Version: protoVersion, HeartbeatMillis: 1000}
 			if h != want {
 				t.Fatalf("decoded %+v, want %+v", h, want)
 			}
@@ -202,12 +202,8 @@ var goldenFrames = []struct {
 		encode: func(e *binEncoder) error { return e.snapChunk(goldenChunk()) },
 		check: func(t *testing.T, d *binDecoder, tag uint8) {
 			requireTag(t, tag, tagSnapChunk)
-			var m snapChunk
-			if err := d.decodeSnapChunk(&m); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(&m, goldenChunk()) {
-				t.Fatalf("decoded %+v, want %+v", m, *goldenChunk())
+			if m := decodeWholeChunk(t, d); !reflect.DeepEqual(m, goldenChunk()) {
+				t.Fatalf("decoded %+v, want %+v", *m, *goldenChunk())
 			}
 		},
 	},
@@ -218,13 +214,9 @@ var goldenFrames = []struct {
 		},
 		check: func(t *testing.T, d *binDecoder, tag uint8) {
 			requireTag(t, tag, tagSnapChunk)
-			var m snapChunk
-			if err := d.decodeSnapChunk(&m); err != nil {
-				t.Fatal(err)
-			}
-			want := snapChunk{ID: 3, Err: "boom", Last: true}
-			if !reflect.DeepEqual(m, want) {
-				t.Fatalf("decoded %+v, want %+v", m, want)
+			want := &snapChunk{ID: 3, Err: "boom", Last: true}
+			if m := decodeWholeChunk(t, d); !reflect.DeepEqual(m, want) {
+				t.Fatalf("decoded %+v, want %+v", *m, *want)
 			}
 		},
 	},
@@ -251,9 +243,25 @@ func goldenChunk() *snapChunk {
 			{Key: "b", Value: []byte{}, Version: 6},
 			{Key: "c", Value: []byte("xyz"), Version: 4},
 		},
-		At:   6,
-		Last: true,
+		At:    6,
+		Bound: 3,
+		Last:  true,
 	}
+}
+
+// decodeWholeChunk decodes the snapshot chunk whose tag was just read, its
+// entries onto an empty accumulator.
+func decodeWholeChunk(t *testing.T, d *binDecoder) *snapChunk {
+	t.Helper()
+	var m snapChunk
+	if err := d.decodeSnapChunk(&m); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if m.Entries, err = d.decodeSnapEntries(nil); err != nil {
+		t.Fatal(err)
+	}
+	return &m
 }
 
 func requireTag(t *testing.T, got, want uint8) {
@@ -590,7 +598,7 @@ func TestDecodeFrameHardening(t *testing.T) {
 // TestCodecSteadyStateAllocs pins the zero-alloc claim: once the scratch
 // buffers and dictionary are warm, encoding a batch of dictionary-resident
 // keys allocates nothing, and decoding allocates exactly one value block per
-// frame.
+// frame; likewise for snapshot chunks, with one key string more on decode.
 func TestCodecSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var ver core.Version
@@ -642,6 +650,110 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	// cannot live in the scratch buffer.
 	if decAllocs > 1 {
 		t.Fatalf("decode allocs/op = %v, want <= 1", decAllocs)
+	}
+
+	// Snapshot chunks: a full chunk encodes without allocating, and decodes
+	// onto a pre-sized accumulator for one key string and one value block
+	// (bound 3: room for one size-class surprise), whatever its entry count.
+	chunk := &snapChunk{ID: 1, At: 9, Entries: newFixedSnapStore(snapChunkEntries, 64).entries}
+	if err := enc.snapChunk(chunk); err != nil {
+		t.Fatal(err)
+	}
+	encAllocs = testing.AllocsPerRun(100, func() {
+		if err := enc.snapChunk(chunk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if encAllocs != 0 {
+		t.Fatalf("snapshot chunk encode allocs/op = %v, want 0", encAllocs)
+	}
+	const chunks = 40
+	buf.Reset()
+	for i := 0; i < chunks; i++ {
+		if err := enc2.snapChunk(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec = newBinDecoder(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+	acc := make([]core.Entry, 0, chunks*snapChunkEntries)
+	decodeChunk := func() {
+		var m snapChunk
+		if _, err := dec.readTag(); err != nil {
+			t.Fatal(err)
+		}
+		err := dec.decodeSnapChunk(&m)
+		if err == nil {
+			acc, err = dec.decodeSnapEntries(acc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeChunk() // warm: scratch growth
+	if decAllocs = testing.AllocsPerRun(chunks-2, decodeChunk); decAllocs > 3 {
+		t.Fatalf("snapshot chunk decode allocs/op = %v, want <= 3", decAllocs)
+	}
+	if len(acc) != chunks*snapChunkEntries {
+		t.Fatalf("accumulated %d entries, want %d", len(acc), chunks*snapChunkEntries)
+	}
+}
+
+// TestSnapshotBoundIsOutsideInput feeds a client two-chunk snapshot responses
+// whose announced entry-count bound is absent, too small, right, too large
+// and absurd. The bound may change the capacity the client reserves — never
+// beyond the clamp — and nothing else: every response yields the same five
+// entries.
+func TestSnapshotBoundIsOutsideInput(t *testing.T) {
+	all := newFixedSnapStore(5, 3).entries
+	for _, tc := range []struct {
+		name    string
+		bound   int
+		wantCap int // exact capacity expected, 0 = whatever append grew
+	}{
+		{"unknown", 0, 0},
+		{"too small", 2, 0},
+		{"exact", 5, 5},
+		{"too large", 1000, 1000},
+		{"absurd", 1 << 62, maxSnapReserve},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc, bw := newTestEncoder(&buf)
+			for _, ch := range []*snapChunk{
+				{ID: 7, Entries: all[:3], At: 9, Bound: tc.bound},
+				{ID: 7, Entries: all[3:], At: 9, Last: true},
+			} {
+				if err := enc.snapChunk(ch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			acc := &snapAccum{ch: make(chan snapResult, 1)}
+			c := &Client{snaps: map[uint64]*snapAccum{7: acc}}
+			dec := newBinDecoder(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+			for i := 0; i < 2; i++ {
+				tag, err := dec.readTag()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireTag(t, tag, tagSnapChunk)
+				if err := c.readSnapChunk(dec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := <-acc.ch
+			if res.at != 9 || !reflect.DeepEqual(res.entries, all) {
+				t.Fatalf("bound %d: got %d entries at %v, want the 5 sent at v9", tc.bound, len(res.entries), res.at)
+			}
+			if got := cap(res.entries); got > maxSnapReserve || (tc.wantCap != 0 && got != tc.wantCap) {
+				t.Fatalf("bound %d reserved capacity %d, want %d", tc.bound, got, tc.wantCap)
+			}
+		})
 	}
 }
 

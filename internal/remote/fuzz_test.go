@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"unbundle/internal/core"
 )
 
 // FuzzDecodeFrame drives the binary decoder with arbitrary bytes, decoded
@@ -83,7 +86,9 @@ func decodeFrameStream(t *testing.T, data []byte) {
 			err = dec.decodeResync(&m)
 		case tagSnapChunk:
 			var m snapChunk
-			err = dec.decodeSnapChunk(&m)
+			if err = dec.decodeSnapChunk(&m); err == nil {
+				err = decodeSnapEntriesChecked(t, dec, &m)
+			}
 		case tagOverloaded:
 			var m overloadedMsg
 			err = dec.decodeOverloaded(&m)
@@ -94,6 +99,40 @@ func decodeFrameStream(t *testing.T, data []byte) {
 			return
 		}
 	}
+}
+
+// decodeSnapEntriesChecked decodes the current chunk's entries twice — onto
+// nothing, and onto an accumulator that already holds an entry and is sized
+// by the chunk's announced bound — and requires that the bound came out of
+// the header clamped, that it changed nothing but capacity, and that a failed
+// decode left the accumulator as it was.
+func decodeSnapEntriesChecked(t *testing.T, dec *binDecoder, m *snapChunk) error {
+	if m.Bound < 0 || m.Bound > maxSnapReserve {
+		t.Fatalf("bound %d escaped the clamp", m.Bound)
+	}
+	body := dec.cur
+	plain, err := dec.decodeSnapEntries(nil)
+	dec.cur = body
+	held := core.Entry{Key: "held", Value: []byte("v"), Version: 1}
+	acc := make([]core.Entry, 1, 1+min(m.Bound, 1<<12))
+	acc[0] = held
+	sized, err2 := dec.decodeSnapEntries(acc)
+	if (err == nil) != (err2 == nil) {
+		t.Fatalf("same entries decoded with err %v onto nothing, %v onto an accumulator", err, err2)
+	}
+	if !reflect.DeepEqual(sized[0], held) {
+		t.Fatalf("decode overwrote the accumulator's contents: %+v", sized[0])
+	}
+	if err != nil {
+		if len(plain) != 0 || len(sized) != 1 {
+			t.Fatalf("failed decode left %d and %d entries behind", len(plain), len(sized)-1)
+		}
+		return err
+	}
+	if len(sized)-1 != len(plain) || (len(plain) > 0 && !reflect.DeepEqual(sized[1:], plain)) {
+		t.Fatalf("bound %d changed the entries: %d vs %d", m.Bound, len(sized)-1, len(plain))
+	}
+	return nil
 }
 
 // TestFuzzCorpusRegression replays the checked-in golden fixtures (and any

@@ -51,7 +51,7 @@ const (
 )
 
 // protoVersion is the one wire protocol version both ends speak.
-const protoVersion = 4
+const protoVersion = 5
 
 // helloMsg opens the stream in each direction: the sender's protocol version
 // and the interval at which it will emit heartbeats on an idle stream.
@@ -141,13 +141,35 @@ type overloadedMsg struct {
 
 // snapChunk is one bounded slice of a streamed snapshot response. The client
 // accumulates Entries across chunks until Last; Err (with Last=true) aborts
-// the snapshot. At repeats the snapshot version on every chunk.
+// the snapshot. At repeats the snapshot version on every chunk. Bound, on the
+// first chunk of a response, is the server's upper bound on the response's
+// entry count (0 = unknown): the client sizes its accumulator from it and
+// trusts it for nothing else.
 type snapChunk struct {
 	ID      uint64
-	Entries []core.Entry
+	Entries []core.Entry // server side only: the client decodes onto its accumulator
 	At      core.Version
+	Bound   int
 	Err     string
 	Last    bool
+}
+
+// chunkPool recycles snapshot chunks, each with a snapChunkEntries-capacity
+// entry buffer, from the streamer that fills one to the writer that encodes
+// it (the evsPool pattern). Entries beyond len are always zero, so clearing
+// the used prefix leaves no key or value reference behind in the pool.
+var chunkPool = sync.Pool{
+	New: func() any {
+		return &snapChunk{Entries: make([]core.Entry, 0, snapChunkEntries)}
+	},
+}
+
+func getChunk() *snapChunk { return chunkPool.Get().(*snapChunk) }
+
+func putChunk(ch *snapChunk) {
+	clear(ch.Entries)
+	*ch = snapChunk{Entries: ch.Entries[:0]}
+	chunkPool.Put(ch)
 }
 
 // evsPool recycles the event slices that carry batches from the hub's

@@ -369,7 +369,8 @@ func (s *Server) acceptLoop() {
 }
 
 // outFrame is one queued outbound message; tag selects which payload field
-// is live. Event batches hold a pooled slice released after encode.
+// is live. Event batches and snapshot chunks are pooled and recycled after
+// encode.
 type outFrame struct {
 	tag       uint8
 	id        uint64
@@ -380,6 +381,16 @@ type outFrame struct {
 	chunkSize int                 // approx payload bytes, for snapshot flow control
 	aux       any                 // tagShutdown (*shutdownMsg), tagOverloaded (*overloadedMsg)
 	bytes     int64               // governor footprint charged to the "remote" account (0 when ungoverned)
+}
+
+// recycle returns the frame's pooled payload, if it has one, to its pool.
+func (f *outFrame) recycle() {
+	switch f.tag {
+	case tagEventBatch:
+		putEvs(f.evs)
+	case tagSnapChunk:
+		putChunk(f.chunk)
+	}
 }
 
 // frameDropWeight is the loss accounting for one queued-but-unsent frame:
@@ -518,9 +529,7 @@ func (s *Server) serveConn(sc *serverConn) {
 		f := &sc.queue[i]
 		drops += frameDropWeight(f)
 		freed += f.bytes
-		if f.tag == tagEventBatch {
-			putEvs(f.evs)
-		}
+		f.recycle()
 		sc.queue[i] = outFrame{}
 	}
 	sc.queue = nil
@@ -802,15 +811,18 @@ func (sc *serverConn) overflowLocked() {
 	sc.acct.Release(freed)
 }
 
-// streamSnapshot reads the range snapshot and streams it as bounded chunks,
-// blocking on the connection's chunk-backlog bound rather than queueing the
-// whole result. Runs on its own goroutine, tracked by the server waitgroup.
+// streamSnapshot pulls the range snapshot from a cursor one chunk at a time
+// and streams the chunks, blocking on the connection's chunk-backlog bound
+// rather than running ahead of the writer: the server holds O(backlog) of a
+// snapshot, never the snapshot. Chunks come from chunkPool and go back to it
+// once the writer has encoded them. Runs on its own goroutine, tracked by the
+// server waitgroup.
 func (s *Server) streamSnapshot(sc *serverConn, req snapshotReq) {
 	defer s.wg.Done()
-	// Admission-control recovery reads: materializing a large snapshot while
-	// the governor is already at Reject pressure would deepen the overload
-	// that triggered the recovery. Keyed by peer so a quarantine aimed at
-	// this client's address never bleeds onto its neighbours.
+	// Admission-control recovery reads: serving a large snapshot while the
+	// governor is already at Reject pressure would deepen the overload that
+	// triggered the recovery. Keyed by peer so a quarantine aimed at this
+	// client's address never bleeds onto its neighbours.
 	if err := s.gov.Admit("snapshot:" + sc.conn.RemoteAddr().String()); err != nil {
 		var ov *govern.Overloaded
 		if errors.As(err, &ov) {
@@ -819,29 +831,54 @@ func (s *Server) streamSnapshot(sc *serverConn, req snapshotReq) {
 			return
 		}
 	}
-	entries, at, err := s.snap.SnapshotRange(keyspace.Range{Low: req.Low, High: req.High})
-	if err != nil {
-		sc.sendChunk(&snapChunk{ID: req.ID, Err: err.Error(), Last: true}, len(err.Error())+32)
-		return
-	}
-	off := 0
-	for {
+	cur := core.OpenSnapshot(s.snap, keyspace.Range{Low: req.Low, High: req.High})
+	ch := getChunk()
+	for first, done := true, false; ; first = false {
+		if k := len(ch.Entries); !done && k < cap(ch.Entries) {
+			got, d, err := cur.Next(ch.Entries[k:k:cap(ch.Entries)])
+			if err != nil {
+				// What was sent so far is a prefix, not a snapshot: the error
+				// chunk makes the client drop it.
+				putChunk(ch)
+				ch = getChunk()
+				ch.ID, ch.Err, ch.Last = req.ID, err.Error(), true
+				if !sc.sendChunk(ch, len(ch.Err)+32) {
+					putChunk(ch)
+				}
+				return
+			}
+			ch.Entries, done = ch.Entries[:k+len(got)], d
+		}
+		// The chunk closes at snapChunkBytes if that comes before the buffer
+		// is full; what the cursor delivered beyond it opens the next chunk.
 		n, size := 0, 0
-		for off+n < len(entries) && n < snapChunkEntries && size < snapChunkBytes {
-			e := &entries[off+n]
+		for n < len(ch.Entries) && size < snapChunkBytes {
+			e := &ch.Entries[n]
 			size += len(e.Key) + len(e.Value) + 16
 			n++
 		}
-		chunk := &snapChunk{
-			ID:      req.ID,
-			Entries: entries[off : off+n],
-			At:      at,
-			Last:    off+n == len(entries),
+		var next *snapChunk
+		if !done || n < len(ch.Entries) {
+			next = getChunk()
+			next.Entries = append(next.Entries, ch.Entries[n:]...)
+			clear(ch.Entries[n:])
+			ch.Entries = ch.Entries[:n]
 		}
-		if !sc.sendChunk(chunk, size+32) || chunk.Last {
+		ch.ID, ch.At, ch.Last = req.ID, cur.At(), next == nil
+		if first {
+			ch.Bound = cur.Bound()
+		}
+		if !sc.sendChunk(ch, size+32) {
+			putChunk(ch)
+			if next != nil {
+				putChunk(next)
+			}
 			return
 		}
-		off += n
+		if next == nil {
+			return
+		}
+		ch = next
 	}
 }
 
@@ -964,9 +1001,7 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 		for i := from; i < len(local); i++ {
 			drops += frameDropWeight(&local[i])
 			freed += local[i].bytes
-			if local[i].tag == tagEventBatch {
-				putEvs(local[i].evs)
-			}
+			local[i].recycle()
 		}
 		if drops > 0 {
 			sc.met.connDrops.Add(drops)
@@ -1041,7 +1076,6 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 			switch f.tag {
 			case tagEventBatch:
 				sc.met.events.Add(int64(len(*f.evs)))
-				putEvs(f.evs)
 			case tagSnapChunk:
 				sc.met.snapChunks.Inc()
 				sc.mu.Lock()
@@ -1049,6 +1083,7 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 				sc.spaceCond.Signal()
 				sc.mu.Unlock()
 			}
+			f.recycle()
 			if f.bytes > 0 {
 				// Encoded into the socket buffer: off the governed outbox.
 				sc.acct.Release(f.bytes)
@@ -1293,11 +1328,11 @@ type snapResult struct {
 
 // snapAccum accumulates a streamed snapshot's chunks until Last. On
 // reconnect the request is re-issued and the accumulator reset, so a
-// snapshot read survives connection loss transparently.
+// snapshot read survives connection loss transparently. entries belongs to
+// the connection's read loop while one runs, and to resume between loops.
 type snapAccum struct {
 	rng     keyspace.Range
 	entries []core.Entry
-	at      core.Version
 	ch      chan snapResult
 }
 
@@ -1623,12 +1658,10 @@ func (c *Client) readFrames(cc *clientConn) error {
 				w.cb.OnResync(m.R)
 			}
 		case tagSnapChunk:
-			var m snapChunk
-			if err := dec.decodeSnapChunk(&m); err != nil {
+			if err := c.readSnapChunk(dec); err != nil {
 				return fail("snapshot chunk", err)
 			}
 			c.met.frames.Inc()
-			c.handleSnapChunk(&m)
 		case tagOverloaded:
 			var m overloadedMsg
 			if err := dec.decodeOverloaded(&m); err != nil {
@@ -1670,29 +1703,41 @@ func (c *Client) deliverBatch(m *eventBatchMsg) {
 	}
 }
 
-func (c *Client) handleSnapChunk(m *snapChunk) {
+// readSnapChunk decodes one snapshot chunk straight onto its request's
+// accumulator. A chunk for a request that is gone is still decoded, into
+// nothing, so a malformed one is caught all the same.
+func (c *Client) readSnapChunk(dec *binDecoder) error {
+	var m snapChunk
+	if err := dec.decodeSnapChunk(&m); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	acc := c.snaps[m.ID]
-	if acc == nil {
-		c.mu.Unlock()
-		return
-	}
-	if m.Err != "" {
-		delete(c.snaps, m.ID)
-		c.mu.Unlock()
-		acc.ch <- snapResult{err: m.Err}
-		return
-	}
-	acc.entries = append(acc.entries, m.Entries...)
-	acc.at = m.At
-	if !m.Last {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.snaps, m.ID)
-	res := snapResult{entries: acc.entries, at: acc.at}
 	c.mu.Unlock()
-	acc.ch <- res
+	if acc == nil {
+		_, err := dec.decodeSnapEntries(nil)
+		return err
+	}
+	if m.Bound > 0 && !m.Last && acc.entries == nil {
+		acc.entries = make([]core.Entry, 0, m.Bound)
+	}
+	entries, err := dec.decodeSnapEntries(acc.entries)
+	if err != nil {
+		return err
+	}
+	acc.entries = entries
+	if m.Err == "" && !m.Last {
+		return nil
+	}
+	c.mu.Lock()
+	delete(c.snaps, m.ID)
+	c.mu.Unlock()
+	if m.Err != "" {
+		acc.ch <- snapResult{err: m.Err}
+	} else {
+		acc.ch <- snapResult{entries: acc.entries, at: m.At}
+	}
+	return nil
 }
 
 // handleOverloaded resolves a server-side admission refusal for one request.
@@ -1915,7 +1960,6 @@ func (c *Client) resume(gen int, conn net.Conn) error {
 	snapIDs := make([]uint64, 0, len(c.snaps))
 	for id, acc := range c.snaps {
 		acc.entries = nil // restart accumulation: the old stream died mid-way
-		acc.at = 0
 		snaps = append(snaps, acc)
 		snapIDs = append(snapIDs, id)
 	}

@@ -295,27 +295,3 @@ func BenchmarkRemoteEventThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 }
-
-func BenchmarkRemoteSnapshot(b *testing.B) {
-	ws := mvcc.NewWatchableStore(core.HubConfig{})
-	defer ws.Close()
-	for i := 0; i < 1000; i++ {
-		ws.Put(keyspace.NumericKey(i), []byte("0123456789abcdef"))
-	}
-	srv, err := Serve("127.0.0.1:0", ws, ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := client.SnapshotRange(keyspace.NumericRange(0, 100)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
