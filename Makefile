@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ab bench bench-replay bench-diff chaos fuzz tracestress traceguard recguard govguard detectors soak soak-short verify clean
+.PHONY: build test race vet ab bench bench-replay bench-diff chaos fuzz tracestress flakes traceguard recguard govguard detectors soak soak-short verify clean
 
 build:
 	$(GO) build ./...
@@ -51,7 +51,7 @@ ab:
 # output is kept in bench_raw.txt for inspection; BENCH_hub.json is what
 # gets committed.
 BENCH_LABEL ?= dev
-BENCH_HUB = 'BenchmarkStoreTxnCommit$$|BenchmarkHubAppendFanout8$$|BenchmarkHubAppendFanoutSharded$$|BenchmarkStoreCommitCDCBatch$$|BenchmarkWatchEndToEnd$$'
+BENCH_HUB = 'BenchmarkHubAppendFanout8$$|BenchmarkHubAppendFanoutSharded$$|BenchmarkWatchEndToEnd$$'
 BENCH_CORE = 'BenchmarkHubWatchReplay$$|BenchmarkHubAppendBatch$$'
 
 bench:
@@ -104,6 +104,12 @@ fuzz:
 tracestress:
 	$(GO) test -count=200 -run 'TestConformance/.*/TracedStagesComplete' ./internal/coretest
 
+# flakes repeats the tier-1 test that used to fail one run in four: E17's
+# "the storm reached Shed" check read a polled pressure level; it now reads the
+# governor's own high-water and must pass 30 runs in a row.
+flakes:
+	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E17' ./internal/experiments
+
 # traceguard pins the cost of the (disabled) causal tracer on the hot hub
 # append path: a hub built with a disabled tracer must stay within 5% of one
 # with no tracer at all. Benchmark-grade, so it is opt-in via TRACE_GUARD.
@@ -146,11 +152,12 @@ detectors:
 # includes the hub contract, stress, and latency-isolation tests; chaos is
 # the transport fault-injection suite (including the black-box dump e2e);
 # fuzz smoke-runs the wire-codec fuzzer against the golden corpus;
-# tracestress repeats the trace-stamp ordering subtest; detectors is the
-# deterministic anomaly-detector suite; soak-short is the CI-scale overload
-# storm against the governed stack; traceguard, recguard and govguard keep
-# tracing, flight recording and idle governance free on the hot path.
-verify: vet build race chaos fuzz tracestress detectors soak-short traceguard recguard govguard
+# tracestress repeats the trace-stamp ordering subtest; flakes repeats E17
+# quick; detectors is the deterministic anomaly-detector suite; soak-short is
+# the CI-scale overload storm against the governed stack; traceguard, recguard
+# and govguard keep tracing, flight recording and idle governance free on the
+# hot path.
+verify: vet build race chaos fuzz tracestress flakes detectors soak-short traceguard recguard govguard
 
 clean:
 	$(GO) clean ./...

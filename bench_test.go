@@ -100,18 +100,6 @@ func BenchmarkStoreSnapshotGet(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreTxnCommit(b *testing.B) {
-	store := unbundle.NewStore()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store.Commit(func(tx *unbundle.Tx) error {
-			tx.Put(unbundle.Key(fmt.Sprintf("a-%04d", i%1000)), []byte("1"))
-			tx.Put(unbundle.Key(fmt.Sprintf("b-%04d", i%1000)), []byte("2"))
-			return nil
-		})
-	}
-}
-
 func BenchmarkHubAppendFanout8(b *testing.B) {
 	reg := unbundle.NewMetricsRegistry()
 	hub := unbundle.NewHub(unbundle.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20, Metrics: reg})
@@ -176,35 +164,6 @@ func BenchmarkHubAppendFanoutSharded(b *testing.B) {
 			})
 		}
 	})
-	b.StopTimer()
-	reportQuantiles(b, reg, "core_hub_append_latency_ns", "ns")
-	reportCounters(b, reg, hubCounters)
-}
-
-// BenchmarkStoreCommitCDCBatch measures the batched commit→CDC→hub path: an
-// 8-key transaction reaches the hub as one AppendBatch per commit instead of
-// eight Append round-trips.
-func BenchmarkStoreCommitCDCBatch(b *testing.B) {
-	reg := unbundle.NewMetricsRegistry()
-	store := unbundle.NewWatchableStore(unbundle.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20, Metrics: reg})
-	defer store.Close()
-	var delivered atomic.Int64
-	cancel, err := store.Watch(unbundle.FullRange(), 0, unbundle.Callbacks{
-		Event: func(unbundle.ChangeEvent) { delivered.Add(1) },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cancel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store.Commit(func(tx *unbundle.Tx) error {
-			for k := 0; k < 8; k++ {
-				tx.Put(unbundle.Key(fmt.Sprintf("%d-%04d", k, i%1000)), []byte("v"))
-			}
-			return nil
-		})
-	}
 	b.StopTimer()
 	reportQuantiles(b, reg, "core_hub_append_latency_ns", "ns")
 	reportCounters(b, reg, hubCounters)

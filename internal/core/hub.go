@@ -888,15 +888,17 @@ func (h *Hub) Wipe() {
 // Frontier returns a copy of the current progress frontier, merged across
 // shards.
 func (h *Hub) Frontier() *VersionMap {
+	// Shards are disjoint and ascending, so their segments arrive in key
+	// order; appendSegment merges equal versions across shard boundaries.
 	var segs []RangeVersion
 	for _, s := range h.shards {
 		s.mu.Lock()
-		segs = append(segs, s.frontier.Segments()...)
+		for _, seg := range s.frontier.Segments() {
+			segs = appendSegment(segs, seg.Range, seg.Version)
+		}
 		s.mu.Unlock()
 	}
-	// Shards are disjoint and ascending, so the concatenation is sorted;
-	// normalize to merge equal-version segments across shard boundaries.
-	return &VersionMap{segs: normalizeSegments(segs)}
+	return &VersionMap{segs: segs}
 }
 
 // Stats returns a snapshot of the hub's counters.

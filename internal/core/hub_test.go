@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,6 +269,41 @@ func TestHubFrontierQuery(t *testing.T) {
 	// The uncovered slice ["", "a") means no full-keyspace completeness yet.
 	if got := f.MinOver(keyspace.Full()); got != NoVersion {
 		t.Fatalf("frontier over gap = %v, want NoVersion", got)
+	}
+}
+
+// TestHubProgressAllocatesNothing pins the per-commit cost the store's
+// progress mark adds: raising the frontier and queueing one mark per
+// overlapping watcher allocates nothing once the rings have grown.
+func TestHubProgressAllocatesNothing(t *testing.T) {
+	h := NewHub(HubConfig{Shards: 1, Metrics: metrics.NewRegistry()})
+	defer h.Close()
+	const watchers = 8
+	var delivered atomic.Int64
+	for _, r := range keyspace.EvenSplit(1024, watchers) {
+		cancel, err := h.Watch(r, NoVersion, Funcs{Progress: func(ProgressEvent) { delivered.Add(1) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+	}
+	var v Version
+	progress := func() {
+		v++
+		if err := h.Progress(ProgressEvent{Range: keyspace.Full(), Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		// Every watcher takes its mark before the next claim, so none is
+		// superseded in the ring and the count is exact.
+		for delivered.Load() < int64(v)*watchers {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 64; i++ {
+		progress()
+	}
+	if n := testing.AllocsPerRun(200, progress); n != 0 {
+		t.Fatalf("Progress over %d watchers: %v allocs, want 0", watchers, n)
 	}
 }
 

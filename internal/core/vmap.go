@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"unbundle/internal/keyspace"
@@ -24,60 +23,67 @@ type RangeVersion struct {
 // VersionMap is not safe for concurrent use; owners guard it with their own
 // lock. The zero value is an empty map.
 type VersionMap struct {
-	segs []RangeVersion // sorted by Range.Low, disjoint, version > NoVersion
+	segs  []RangeVersion // sorted by Range.Low, disjoint, version > NoVersion
+	spare []RangeVersion // Raise builds the next segs here, then swaps the two
 }
 
 // Raise sets the version over r to max(current, v) pointwise. Raising to
 // NoVersion is a no-op. Progress can legitimately arrive out of order or
 // overlap (each layer partitions independently), so Raise never lowers.
+//
+// It is one pass over the segments in key order, emitting into the spare
+// buffer: rest is the part of the claim not yet emitted, and each segment is
+// either wholly before it, wholly after it (the claim's remainder goes first)
+// or overlaps it and is cut at the claim's bounds. Once both buffers have
+// grown, a raise allocates nothing.
 func (m *VersionMap) Raise(r keyspace.Range, v Version) {
 	if r.Empty() || v == NoVersion {
 		return
 	}
-	out := make([]RangeVersion, 0, len(m.segs)+2)
-	uncovered := keyspace.NewRangeSet(r)
+	out, rest := m.spare[:0], r
 	for _, s := range m.segs {
-		inter := s.Range.Intersect(r)
+		inter := s.Range.Intersect(rest)
 		if inter.Empty() {
-			out = append(out, s)
+			if !rest.Empty() && rest.Low < s.Range.Low {
+				out = appendSegment(out, rest, v)
+				rest = keyspace.Range{}
+			}
+			out = appendSegment(out, s.Range, s.Version)
 			continue
 		}
-		uncovered = uncovered.SubtractRange(s.Range)
-		// Pieces of s outside r keep their version.
-		for _, rest := range keyspace.NewRangeSet(s.Range).SubtractRange(r).Ranges() {
-			out = append(out, RangeVersion{Range: rest, Version: s.Version})
+		// What precedes the overlap is s's own (it starts first) or an
+		// uncovered piece of the claim.
+		if s.Range.Low < inter.Low {
+			out = appendSegment(out, keyspace.Range{Low: s.Range.Low, High: inter.Low}, s.Version)
+		} else if rest.Low < inter.Low {
+			out = appendSegment(out, keyspace.Range{Low: rest.Low, High: inter.Low}, v)
 		}
-		// The overlap takes the max.
-		sv := s.Version
-		if v > sv {
-			sv = v
+		out = appendSegment(out, inter, max(s.Version, v))
+		// The overlap ends where s or the claim ends; the other may go on.
+		if inter.High >= keyspace.Inf {
+			rest = keyspace.Range{}
+			continue
 		}
-		out = append(out, RangeVersion{Range: inter, Version: sv})
+		if after := (keyspace.Range{Low: inter.High, High: s.Range.High}); !after.Empty() {
+			out = appendSegment(out, after, s.Version)
+		}
+		rest.Low = inter.High
 	}
-	for _, rest := range uncovered.Ranges() {
-		out = append(out, RangeVersion{Range: rest, Version: v})
+	if !rest.Empty() {
+		out = appendSegment(out, rest, v)
 	}
-	m.segs = normalizeSegments(out)
+	m.segs, m.spare = out, m.segs[:0]
 }
 
-// normalizeSegments sorts, then merges adjacent segments of equal version.
-func normalizeSegments(segs []RangeVersion) []RangeVersion {
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Range.Low < segs[j].Range.Low })
-	out := segs[:0]
-	for _, s := range segs {
-		if s.Range.Empty() || s.Version == NoVersion {
-			continue
-		}
-		if n := len(out); n > 0 {
-			prev := &out[n-1]
-			if prev.Version == s.Version && prev.Range.Adjacent(s.Range) {
-				prev.Range = prev.Range.Union(s.Range)
-				continue
-			}
-		}
-		out = append(out, s)
+// appendSegment appends r@v to segs, which is in key order and ends at or
+// before r, merging it into the last segment when the two touch at one
+// version.
+func appendSegment(segs []RangeVersion, r keyspace.Range, v Version) []RangeVersion {
+	if n := len(segs); n > 0 && segs[n-1].Version == v && segs[n-1].Range.High == r.Low {
+		segs[n-1].Range.High = r.High
+		return segs
 	}
-	return out
+	return append(segs, RangeVersion{Range: r, Version: v})
 }
 
 // VersionAt returns the version covering key k (NoVersion if uncovered).
@@ -101,22 +107,26 @@ func (m *VersionMap) MinOver(r keyspace.Range) Version {
 	if r.Empty() {
 		return NoVersion
 	}
-	remaining := keyspace.NewRangeSet(r)
-	min := Version(^uint64(0))
+	// next is the first key of r not yet seen covered; the segments are in
+	// key order, so the first one to start past it leaves a gap.
+	next, min := r.Low, Version(^uint64(0))
 	for _, s := range m.segs {
 		inter := s.Range.Intersect(r)
 		if inter.Empty() {
 			continue
 		}
-		remaining = remaining.SubtractRange(s.Range)
+		if inter.Low > next {
+			return NoVersion
+		}
 		if s.Version < min {
 			min = s.Version
 		}
+		if inter.High == r.High || inter.High >= keyspace.Inf {
+			return min
+		}
+		next = inter.High
 	}
-	if !remaining.Empty() {
-		return NoVersion
-	}
-	return min
+	return NoVersion
 }
 
 // MaxOver returns the maximum version over keys of r (NoVersion if none).
@@ -139,7 +149,7 @@ func (m *VersionMap) CoversAtLeast(r keyspace.Range, v Version) bool {
 }
 
 // Segments returns the normalized segments in key order. The caller must not
-// modify the returned slice.
+// modify the returned slice, which the next Raise may overwrite.
 func (m *VersionMap) Segments() []RangeVersion { return m.segs }
 
 // Clone returns an independent copy.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +208,121 @@ func TestQuickVersionMapSegmentsInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// modelMap is VersionMap as it was first written — a fresh slice, RangeSet
+// subtraction per segment, sort and merge — kept as the reference the
+// ordered-walk Raise and MinOver are checked against.
+type modelMap struct{ segs []RangeVersion }
+
+func (m *modelMap) raise(r keyspace.Range, v Version) {
+	if r.Empty() || v == NoVersion {
+		return
+	}
+	out := make([]RangeVersion, 0, len(m.segs)+2)
+	uncovered := keyspace.NewRangeSet(r)
+	for _, s := range m.segs {
+		inter := s.Range.Intersect(r)
+		if inter.Empty() {
+			out = append(out, s)
+			continue
+		}
+		uncovered = uncovered.SubtractRange(s.Range)
+		// Pieces of s outside r keep their version.
+		for _, rest := range keyspace.NewRangeSet(s.Range).SubtractRange(r).Ranges() {
+			out = append(out, RangeVersion{Range: rest, Version: s.Version})
+		}
+		// The overlap takes the max.
+		out = append(out, RangeVersion{Range: inter, Version: max(s.Version, v)})
+	}
+	for _, rest := range uncovered.Ranges() {
+		out = append(out, RangeVersion{Range: rest, Version: v})
+	}
+	// Sort, then merge adjacent segments of equal version.
+	sort.Slice(out, func(i, j int) bool { return out[i].Range.Low < out[j].Range.Low })
+	m.segs = out[:0]
+	for _, s := range out {
+		if n := len(m.segs); n > 0 && m.segs[n-1].Version == s.Version && m.segs[n-1].Range.Adjacent(s.Range) {
+			m.segs[n-1].Range = m.segs[n-1].Range.Union(s.Range)
+			continue
+		}
+		m.segs = append(m.segs, s)
+	}
+}
+
+func (m *modelMap) minOver(r keyspace.Range) Version {
+	if r.Empty() {
+		return NoVersion
+	}
+	remaining := keyspace.NewRangeSet(r)
+	min := Version(^uint64(0))
+	for _, s := range m.segs {
+		if s.Range.Intersect(r).Empty() {
+			continue
+		}
+		remaining = remaining.SubtractRange(s.Range)
+		if s.Version < min {
+			min = s.Version
+		}
+	}
+	if !remaining.Empty() {
+		return NoVersion
+	}
+	return min
+}
+
+// TestQuickVersionMapMatchesModel drives random claim sequences through the
+// ordered walk and the model: sub-ranges of existing segments, unbounded
+// highs, claims that make equal-version neighbours, claims below the current
+// version. Segments must agree exactly after every claim, MinOver on every
+// probe.
+func TestQuickVersionMapMatchesModel(t *testing.T) {
+	bounds := []keyspace.Key{"", "a", "b", "c", "d", "e", "f", "g", "h", keyspace.Inf}
+	pick := func(r *rand.Rand) keyspace.Range {
+		return keyspace.Range{Low: bounds[r.Intn(len(bounds)-1)], High: bounds[1+r.Intn(len(bounds)-1)]}
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var m VersionMap
+		var model modelMap
+		for i := 0; i < 40; i++ {
+			claim, v := pick(r), Version(r.Intn(6)) // few versions: neighbours often come out equal
+			m.Raise(claim, v)
+			model.raise(claim, v)
+			if !reflect.DeepEqual(append([]RangeVersion(nil), m.Segments()...), append([]RangeVersion(nil), model.segs...)) {
+				t.Logf("seed %d step %d: Raise(%v, %v): got %v, model %v", seed, i, claim, v, m.Segments(), model.segs)
+				return false
+			}
+			probe := pick(r)
+			if got, want := m.MinOver(probe), model.minOver(probe); got != want {
+				t.Logf("seed %d step %d: MinOver(%v) = %v, model %v (%v)", seed, i, probe, got, want, m.String())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVersionMapRaiseAllocatesNothing pins the frontier's steady state: once
+// both buffers have grown, raising an existing segment — what every commit's
+// progress does to the hub — allocates nothing.
+func TestVersionMapRaiseAllocatesNothing(t *testing.T) {
+	var m VersionMap
+	m.Raise(rng("a", "h"), 1)
+	m.Raise(rng("h", "p"), 2)
+	m.Raise(rng("p", "inf"), 3)
+	v := Version(3)
+	if n := testing.AllocsPerRun(100, func() {
+		v++
+		m.Raise(rng("h", "p"), v)
+	}); n != 0 {
+		t.Fatalf("Raise of an existing segment: %v allocs, want 0", n)
+	}
+	if got := m.VersionAt("k"); got != v {
+		t.Fatalf("VersionAt(k) = %v, want %v", got, v)
 	}
 }

@@ -114,25 +114,6 @@ func runE17(opts Options) (*Result, error) {
 			defer rws[i].Stop()
 		}
 
-		// Sample peak pressure while the storm runs.
-		peak := 0
-		stopSample := make(chan struct{})
-		var sampleDone sync.WaitGroup
-		sampleDone.Add(1)
-		go func() {
-			defer sampleDone.Done()
-			for {
-				select {
-				case <-stopSample:
-					return
-				case <-time.After(200 * time.Microsecond):
-					if l := gov.Snapshot().Level; l > peak {
-						peak = l
-					}
-				}
-			}
-		}()
-
 		val := make([]byte, valSize)
 		for i := 1; i <= events; i++ {
 			w := i % watchers
@@ -144,9 +125,6 @@ func runE17(opts Options) (*Result, error) {
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
-		close(stopSample)
-		sampleDone.Wait()
-
 		// Storm over: release the laggards and let the system heal. Shed
 		// watchers now consume their explicit resync, retry, get refused by
 		// the quarantine with a RetryAfter, back off, and re-admit.
@@ -179,7 +157,10 @@ func runE17(opts Options) (*Result, error) {
 			return fmt.Errorf("consumers failed to converge after the storm subsided")
 		}
 
+		// The governor keeps its own high-water: a poll of the level misses
+		// an excursion to Shed that relief ends within microseconds.
 		st := gov.Snapshot()
+		peak := st.PeakLevel
 		var totalResyncs int64
 		for _, w := range rws {
 			totalResyncs += w.Resyncs()

@@ -125,6 +125,7 @@ type Config struct {
 
 type governMetrics struct {
 	level       *metrics.Gauge // govern_pressure_level — detector input
+	peak        *metrics.Gauge // govern_pressure_peak — highest level reached
 	transitions *metrics.Counter
 	sheds       *metrics.Counter
 	rejects     *metrics.Counter
@@ -233,6 +234,7 @@ func NewGovernor(cfg Config) *Governor {
 	}
 	g.met = governMetrics{
 		level:       reg.Gauge("govern_pressure_level"),
+		peak:        reg.Gauge("govern_pressure_peak"),
 		transitions: reg.Counter("govern_pressure_transitions_total"),
 		sheds:       reg.Counter("govern_sheds_total"),
 		rejects:     reg.Counter("govern_rejects_total"),
@@ -334,6 +336,9 @@ func (g *Governor) transition(old, lvl Pressure) {
 		return // raced with another transition; its view wins
 	}
 	g.met.level.Set(int64(lvl))
+	// The high-water is kept here, where the level changes, not sampled: an
+	// excursion shorter than any poll interval still counts.
+	g.met.peak.Max(int64(lvl))
 	g.met.transitions.Inc()
 	if lvl > old {
 		used := g.used.Load()
@@ -521,6 +526,7 @@ type Stats struct {
 	UsedBytes   int64          `json:"used_bytes"`
 	Pressure    string         `json:"pressure"`
 	Level       int            `json:"level"`
+	PeakLevel   int            `json:"peak_level"` // highest Level since start
 	Sheds       int64          `json:"sheds"`
 	Rejects     int64          `json:"rejects"`
 	ReliefRuns  int64          `json:"relief_runs"`
@@ -539,6 +545,7 @@ func (g *Governor) Snapshot() Stats {
 		UsedBytes:   g.used.Load(),
 		Pressure:    lvl.String(),
 		Level:       int(lvl),
+		PeakLevel:   int(g.met.peak.Value()),
 		Sheds:       g.met.sheds.Value(),
 		Rejects:     g.met.rejects.Value(),
 		ReliefRuns:  g.met.reliefRuns.Value(),

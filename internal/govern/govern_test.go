@@ -81,6 +81,11 @@ func TestPressureLevelsAndThresholds(t *testing.T) {
 	if g.Used() != 0 || a.Used() != 0 {
 		t.Fatalf("usage after symmetric release: root=%d acct=%d", g.Used(), a.Used())
 	}
+	// The high-water outlives the excursion; the level does not.
+	st := g.Snapshot()
+	if v, _ := reg.GaugeValue("govern_pressure_peak"); st.Level != 0 || st.PeakLevel != int(Reject) || v != int64(Reject) {
+		t.Fatalf("after release: level %d, peak %d, govern_pressure_peak %d; want 0, %d, %d", st.Level, st.PeakLevel, v, Reject, Reject)
+	}
 }
 
 func TestAccountAttribution(t *testing.T) {

@@ -93,11 +93,15 @@ func TestQuickCursorEqualsScanAtPinnedVersion(t *testing.T) {
 
 // TestCursorHoldsNoLockBetweenChunks: a writer on the cursor's own goroutine
 // gets in between two Next calls (it would deadlock if the read lock outlived
-// Next), and the following chunks still show the pinned version.
+// Next), and the following chunks still show the pinned version — also once a
+// GC up to the pin has cut every chain behind the record the pin reads, with
+// newer records stacked in front of it.
 func TestCursorHoldsNoLockBetweenChunks(t *testing.T) {
 	s := NewStore()
-	for i := 0; i < 10; i++ {
-		s.Put(keyspace.NumericKey(i), []byte("old"))
+	for _, val := range []string{"older", "old"} {
+		for i := 0; i < 10; i++ {
+			s.Put(keyspace.NumericKey(i), []byte(val))
+		}
 	}
 	c := s.SnapshotCursor(keyspace.Full())
 	got, err := drain(c, []int{4}, func() {
@@ -105,6 +109,7 @@ func TestCursorHoldsNoLockBetweenChunks(t *testing.T) {
 			s.Put(keyspace.NumericKey(i), []byte("new"))
 		}
 		s.Delete(keyspace.NumericKey(7))
+		s.GCBefore(c.At())
 	})
 	if err != nil || len(got) != 10 {
 		t.Fatalf("cursor returned %d entries, err %v; want the 10 of its pinned version", len(got), err)

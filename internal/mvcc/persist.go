@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"unbundle/internal/core"
 	"unbundle/internal/keyspace"
@@ -35,11 +36,12 @@ func (s *Store) Save() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	img := storeImage{Version: s.version, Horizon: s.horizon}
-	s.keys.ascend(keyspace.Full(), func(k keyspace.Key, h *history) bool {
-		ki := keyImage{Key: k, Versions: make([]versionImage, 0, len(h.versions))}
-		for _, vv := range h.versions {
-			ki.Versions = append(ki.Versions, versionImage{Version: vv.version, Value: vv.value, Deleted: vv.deleted})
+	s.keys.ascend(keyspace.Full(), func(n *skipNode) bool {
+		ki := keyImage{Key: n.key}
+		for r := n.head; r != nil; r = r.prev {
+			ki.Versions = append(ki.Versions, versionImage{Version: r.version, Value: r.value, Deleted: r.deleted})
 		}
+		slices.Reverse(ki.Versions) // the image lists them oldest first
 		img.Keys = append(img.Keys, ki)
 		return true
 	})
@@ -66,7 +68,7 @@ func Load(data []byte) (*Store, error) {
 			return nil, fmt.Errorf("mvcc: load: keys out of order at %q", string(ki.Key))
 		}
 		prevKey = ki.Key
-		h := s.keys.getOrCreate(ki.Key)
+		n := s.keys.getOrCreate(ki.Key)
 		var prevV core.Version
 		for _, vi := range ki.Versions {
 			if vi.Version <= prevV {
@@ -76,7 +78,7 @@ func Load(data []byte) (*Store, error) {
 				return nil, fmt.Errorf("mvcc: load: version %v beyond TSO %v", vi.Version, img.Version)
 			}
 			prevV = vi.Version
-			h.versions = append(h.versions, versionedValue{version: vi.Version, value: vi.Value, deleted: vi.Deleted})
+			n.head = &version{version: vi.Version, value: vi.Value, deleted: vi.Deleted, prev: n.head}
 			s.versionsHeld++
 		}
 	}

@@ -28,29 +28,32 @@ var (
 	ErrTxnAborted = errors.New("mvcc: transaction aborted")
 )
 
-// versionedValue is one entry in a key's history.
-type versionedValue struct {
+// version is one record of a key's history. A key's records form a chain,
+// newest first through prev, whose head lives in the key's skiplist node; a
+// record is never written after it is linked, except that GC cuts prev.
+type version struct {
 	version core.Version
 	value   []byte
 	deleted bool
+	prev    *version
 }
 
-// history is a key's version chain, ascending by version.
-type history struct {
-	versions []versionedValue
-}
-
-// at returns the value visible at version v and whether any version <= v
-// exists.
-func (h *history) at(v core.Version) (versionedValue, bool) {
-	// Histories are short (GC keeps them pruned); linear scan from the tail
-	// is faster than binary search for the common read-latest case.
-	for i := len(h.versions) - 1; i >= 0; i-- {
-		if h.versions[i].version <= v {
-			return h.versions[i], true
-		}
+// at returns the record visible at version v — the newest one at or below v,
+// walking from the receiver — or nil. Chains are short (GC keeps them pruned)
+// and the common read is of the latest. A nil receiver is an empty chain.
+func (r *version) at(v core.Version) *version {
+	for r != nil && r.version > v {
+		r = r.prev
 	}
-	return versionedValue{}, false
+	return r
+}
+
+// liveAt is at for readers of values: nil also when the key is deleted at v.
+func (r *version) liveAt(v core.Version) *version {
+	if r = r.at(v); r != nil && r.deleted {
+		return nil
+	}
+	return r
 }
 
 // Stats reports store counters; the efficiency experiment (E10) uses
@@ -86,9 +89,9 @@ type Store struct {
 	batch, sub []core.ChangeEvent
 
 	// tx is the transaction scratch, reused across Commit calls under mu:
-	// the write map and order slice are cleared in place rather than
-	// reallocated, so a steady-state commit's only allocations are the
-	// value copies the transaction itself makes.
+	// the write slice and index are cleared in place rather than
+	// reallocated, so a steady-state commit allocates, per written key, the
+	// value copy the transaction makes and the version record it installs.
 	tx Tx
 
 	// tracer, when non-nil, samples committed events at the source: the
@@ -125,43 +128,45 @@ func (s *Store) SetTracer(t *trace.Tracer) {
 // scratch for the next transaction, so callers must not retain it.
 type Tx struct {
 	s      *Store
-	writes map[keyspace.Key]core.Mutation
-	order  []keyspace.Key
+	writes []write              // one per written key, in first-write order
+	index  map[keyspace.Key]int // key → position in writes: Get and re-writes only
+}
+
+// write is a transaction's last mutation of one key.
+type write struct {
+	key keyspace.Key
+	mut core.Mutation
 }
 
 // Get reads a key inside the transaction (uncommitted writes are visible).
 func (tx *Tx) Get(k keyspace.Key) ([]byte, bool) {
-	if m, ok := tx.writes[k]; ok {
-		if m.Op == core.OpDelete {
-			return nil, false
-		}
-		return m.Value, true
+	if i, ok := tx.index[k]; ok {
+		m := tx.writes[i].mut
+		return m.Value, m.Op != core.OpDelete
 	}
-	h := tx.s.keys.find(k)
-	if h == nil {
-		return nil, false
+	if r := tx.s.keys.find(k).liveAt(tx.s.version); r != nil {
+		return r.value, true
 	}
-	vv, ok := h.at(tx.s.version)
-	if !ok || vv.deleted {
-		return nil, false
-	}
-	return vv.value, true
+	return nil, false
 }
 
 // Put writes a key inside the transaction.
 func (tx *Tx) Put(k keyspace.Key, v []byte) {
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
-	}
-	tx.writes[k] = core.Mutation{Op: core.OpPut, Value: append([]byte(nil), v...)}
+	tx.set(k, core.Mutation{Op: core.OpPut, Value: append([]byte(nil), v...)})
 }
 
 // Delete removes a key inside the transaction.
 func (tx *Tx) Delete(k keyspace.Key) {
-	if _, seen := tx.writes[k]; !seen {
-		tx.order = append(tx.order, k)
+	tx.set(k, core.Mutation{Op: core.OpDelete})
+}
+
+func (tx *Tx) set(k keyspace.Key, m core.Mutation) {
+	if i, seen := tx.index[k]; seen {
+		tx.writes[i].mut = m
+		return
 	}
-	tx.writes[k] = core.Mutation{Op: core.OpDelete}
+	tx.index[k] = len(tx.writes)
+	tx.writes = append(tx.writes, write{key: k, mut: m})
 }
 
 // Commit runs fn in a serializable transaction and atomically applies its
@@ -172,16 +177,16 @@ func (s *Store) Commit(fn func(tx *Tx) error) (core.Version, error) {
 	defer s.mu.Unlock()
 	tx := &s.tx
 	tx.s = s
-	if tx.writes == nil {
-		tx.writes = make(map[keyspace.Key]core.Mutation)
+	if tx.index == nil {
+		tx.index = make(map[keyspace.Key]int)
 	} else {
-		clear(tx.writes)
+		clear(tx.index)
 	}
-	tx.order = tx.order[:0]
+	tx.writes = tx.writes[:0]
 	if err := fn(tx); err != nil {
 		return core.NoVersion, fmt.Errorf("%w: %v", ErrTxnAborted, err)
 	}
-	return s.applyLocked(tx.order, tx.writes), nil
+	return s.applyLocked(tx.writes), nil
 }
 
 // Put writes a single key outside any explicit transaction.
@@ -197,35 +202,33 @@ func (s *Store) Delete(k keyspace.Key) core.Version {
 }
 
 // applyLocked installs the writes at the next version and emits CDC.
-func (s *Store) applyLocked(order []keyspace.Key, writes map[keyspace.Key]core.Mutation) core.Version {
+func (s *Store) applyLocked(writes []write) core.Version {
 	s.version++
 	v := s.version
 	s.commits++
-	for _, k := range order {
-		m := writes[k]
-		h := s.keys.getOrCreate(k)
-		h.versions = append(h.versions, versionedValue{
-			version: v,
-			value:   m.Value,
-			deleted: m.Op == core.OpDelete,
-		})
+	tapped := len(s.taps) > 0
+	s.batch = s.batch[:0]
+	s.keys.resetFinger()
+	for i := range writes {
+		k, m := writes[i].key, writes[i].mut
+		n := s.keys.getOrCreate(k)
+		n.head = &version{version: v, value: m.Value, deleted: m.Op == core.OpDelete, prev: n.head}
 		s.versionsHeld++
 		s.bytesWritten += int64(len(k) + len(m.Value) + 16) // 16: version + flags overhead
+		if tapped {
+			ev := core.ChangeEvent{Key: k, Mut: m, Version: v}
+			if s.tracer.Enabled() {
+				ev.Trace = s.tracer.Begin(k, uint64(v))
+			}
+			s.batch = append(s.batch, ev)
+		}
 	}
 	// CDC emission, in commit order, then a progress mark: with the commit
 	// lock held, every change at or below v has been emitted, so the
 	// progress claim is exact. The whole commit goes out as one batch per
 	// tap — one synchronization round-trip into the watch system per commit
 	// instead of one per written key.
-	if len(s.taps) > 0 && len(order) > 0 {
-		s.batch = s.batch[:0]
-		for _, k := range order {
-			ev := core.ChangeEvent{Key: k, Mut: writes[k], Version: v}
-			if s.tracer.Enabled() {
-				ev.Trace = s.tracer.Begin(k, uint64(v))
-			}
-			s.batch = append(s.batch, ev)
-		}
+	if len(s.batch) > 0 {
 		for _, t := range s.taps {
 			out := s.batch
 			for i := range s.batch {
@@ -310,15 +313,11 @@ func (s *Store) Get(k keyspace.Key, at core.Version) ([]byte, core.Version, bool
 	if err := s.readableLocked(at); err != nil {
 		return nil, 0, false, err
 	}
-	h := s.keys.find(k)
-	if h == nil {
+	r := s.keys.find(k).liveAt(at)
+	if r == nil {
 		return nil, 0, false, nil
 	}
-	vv, ok := h.at(at)
-	if !ok || vv.deleted {
-		return nil, 0, false, nil
-	}
-	return vv.value, vv.version, true, nil
+	return r.value, r.version, true, nil
 }
 
 // Scan returns the live entries of r at version at (0 = latest) in key
@@ -377,12 +376,12 @@ func (s *Store) boundLocked(r keyspace.Range) int {
 // Caller holds mu.
 func (s *Store) collectLocked(r keyspace.Range, at core.Version, out []core.Entry, limit int) []core.Entry {
 	base := len(out)
-	s.keys.ascend(r, func(k keyspace.Key, h *history) bool {
-		vv, ok := h.at(at)
-		if !ok || vv.deleted {
+	s.keys.ascend(r, func(n *skipNode) bool {
+		rec := n.head.liveAt(at)
+		if rec == nil {
 			return true
 		}
-		out = append(out, core.Entry{Key: k, Value: vv.value, Version: vv.version})
+		out = append(out, core.Entry{Key: n.key, Value: rec.value, Version: rec.version})
 		return limit <= 0 || len(out)-base < limit
 	})
 	return out
@@ -441,15 +440,11 @@ func (s *Store) ValueAt(k keyspace.Key, v core.Version) (val []byte, ok bool, er
 	if err := s.readableLocked(v); err != nil {
 		return nil, false, err
 	}
-	h := s.keys.find(k)
-	if h == nil {
+	r := s.keys.find(k).liveAt(v)
+	if r == nil {
 		return nil, false, nil
 	}
-	vv, found := h.at(v)
-	if !found || vv.deleted {
-		return nil, false, nil
-	}
-	return vv.value, true, nil
+	return r.value, true, nil
 }
 
 // CurrentVersion returns the last committed version.
@@ -461,8 +456,10 @@ func (s *Store) CurrentVersion() core.Version {
 
 // GCBefore discards version history no longer needed to serve snapshots at
 // or above v, and raises the horizon to v. For each key the newest version
-// at or below v is retained (it is still visible at v); fully deleted keys
-// whose tombstone predates v are dropped entirely.
+// at or below v is retained (it is still visible at v) and the chain is cut
+// behind it; fully deleted keys whose tombstone predates v are dropped
+// entirely. Nothing is allocated, and values already handed to a reader stay
+// intact: only prev links change.
 func (s *Store) GCBefore(v core.Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,25 +470,21 @@ func (s *Store) GCBefore(v core.Version) {
 		return
 	}
 	s.horizon = v
-	s.keys.ascend(keyspace.Full(), func(k keyspace.Key, h *history) bool {
-		// Find the newest index with version <= v; everything before it is
-		// invisible to any snapshot >= v.
-		keepFrom := 0
-		for i, vv := range h.versions {
-			if vv.version <= v {
-				keepFrom = i
-			} else {
-				break
-			}
+	s.keys.ascend(keyspace.Full(), func(n *skipNode) bool {
+		// Everything older than the newest record at or below v is invisible
+		// to any snapshot >= v.
+		keep := n.head.at(v)
+		if keep == nil {
+			return true
 		}
-		if keepFrom > 0 {
-			s.versionsHeld -= int64(keepFrom)
-			h.versions = append([]versionedValue(nil), h.versions[keepFrom:]...)
-		}
-		// A lone tombstone below the horizon serves no snapshot.
-		if len(h.versions) == 1 && h.versions[0].deleted && h.versions[0].version <= v {
+		for r := keep.prev; r != nil; r = r.prev {
 			s.versionsHeld--
-			h.versions = nil
+		}
+		keep.prev = nil
+		// A lone tombstone below the horizon serves no snapshot.
+		if keep == n.head && keep.deleted {
+			s.versionsHeld--
+			n.head = nil
 		}
 		return true
 	})

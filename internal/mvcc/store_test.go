@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -153,7 +154,18 @@ func TestGCBeforeHorizon(t *testing.T) {
 	v1 := s.Put("a", []byte("1"))
 	v2 := s.Put("a", []byte("2"))
 	v3 := s.Put("a", []byte("3"))
+	held, _, _, _ := s.Get("a", v1)
 	s.GCBefore(v2)
+
+	// The chain is cut behind the newest record at or below the horizon, in
+	// place, and a value read before the cut still reads as it did.
+	head := s.keys.find("a")
+	if head.version != v3 || head.prev.version != v2 || head.prev.prev != nil {
+		t.Fatalf("chain after GC: %v -> %+v", head.version, head.prev)
+	}
+	if string(held) != "1" {
+		t.Fatalf("value read before GC = %q", held)
+	}
 
 	if _, _, _, err := s.Get("a", v1); !errors.Is(err, ErrVersionGCed) {
 		t.Fatalf("read below horizon = %v", err)
@@ -399,6 +411,133 @@ func TestQuickSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestQuickChainMatchesSliceModel checks the version chain against the
+// structure it replaced — a map from key to a version slice, oldest first,
+// trimmed by copying — under random interleavings of Put, Delete, multi-key
+// transactions, GCBefore at a random horizon, Get and Scan at random
+// versions. VersionsHeld must equal the model's count after every step, the
+// lone-tombstone drop included.
+func TestQuickChainMatchesSliceModel(t *testing.T) {
+	type rec struct {
+		v       core.Version
+		val     string
+		deleted bool
+	}
+	keys := []keyspace.Key{"a", "b", "c", "d", "e", "f"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		model := map[keyspace.Key][]rec{}
+		var horizon, head core.Version
+		at := func(k keyspace.Key, v core.Version) (rec, bool) {
+			h := model[k]
+			for i := len(h) - 1; i >= 0; i-- {
+				if h[i].v <= v {
+					return h[i], !h[i].deleted
+				}
+			}
+			return rec{}, false
+		}
+		for step := 0; step < 120; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5: // one transaction of 1-3 writes, re-writes of a key included
+				var writes []rec
+				var wkeys []keyspace.Key
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					wkeys = append(wkeys, keys[rng.Intn(len(keys))])
+					writes = append(writes, rec{val: fmt.Sprint(step, n), deleted: rng.Intn(3) == 0})
+				}
+				head, _ = s.Commit(func(tx *Tx) error {
+					for i, k := range wkeys {
+						if writes[i].deleted {
+							tx.Delete(k)
+						} else {
+							tx.Put(k, []byte(writes[i].val))
+						}
+					}
+					return nil
+				})
+				last := map[keyspace.Key]int{}
+				for i, k := range wkeys {
+					last[k] = i
+				}
+				for k, i := range last {
+					w := writes[i]
+					w.v = head
+					model[k] = append(model[k], w)
+				}
+			case op < 7:
+				h := core.Version(rng.Intn(int(head) + 2))
+				s.GCBefore(h)
+				h = min(h, head)
+				if h <= horizon {
+					break
+				}
+				horizon = h
+				for k, hist := range model {
+					keep := 0
+					for i, r := range hist {
+						if r.v <= h {
+							keep = i
+						}
+					}
+					hist = append([]rec(nil), hist[keep:]...)
+					if len(hist) == 1 && hist[0].deleted && hist[0].v <= h {
+						hist = nil
+					}
+					model[k] = hist
+				}
+			case op < 9:
+				k, v := keys[rng.Intn(len(keys))], core.Version(rng.Intn(int(head)+1))
+				val, ver, ok, err := s.Get(k, v)
+				if v == core.NoVersion {
+					v = head
+				}
+				if v < horizon {
+					if !errors.Is(err, ErrVersionGCed) {
+						t.Logf("seed %d step %d: Get(%q, %v) below horizon %v: err %v", seed, step, k, v, horizon, err)
+						return false
+					}
+					break
+				}
+				want, live := at(k, v)
+				if err != nil || ok != live || (ok && (string(val) != want.val || ver != want.v)) {
+					t.Logf("seed %d step %d: Get(%q, %v) = %q@%v/%v/%v, model %+v/%v", seed, step, k, v, val, ver, ok, err, want, live)
+					return false
+				}
+			default:
+				v := horizon + core.Version(rng.Intn(int(head-horizon)+1))
+				got, err := s.Scan(keyspace.Full(), v, 0)
+				if v == core.NoVersion {
+					v = head
+				}
+				var want []core.Entry
+				for _, k := range keys {
+					if r, live := at(k, v); live {
+						want = append(want, core.Entry{Key: k, Value: []byte(r.val), Version: r.v})
+					}
+				}
+				if err != nil || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Logf("seed %d step %d: Scan at %v = %v (err %v), model %v", seed, step, v, got, err, want)
+					return false
+				}
+			}
+			held := 0
+			for _, hist := range model {
+				held += len(hist)
+			}
+			if got := s.Stats().VersionsHeld; got != int64(held) {
+				t.Logf("seed %d step %d: VersionsHeld = %d, model holds %d", seed, step, got, held)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQuickGCPreservesVisibleHistory: after GCBefore(h), every read at
 // version >= h returns exactly what it returned before GC.
 func TestQuickGCPreservesVisibleHistory(t *testing.T) {
@@ -554,6 +693,14 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	back, err := Load(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The image lists versions oldest first whatever order the store keeps
+	// them in: a loaded store saves the bytes it was loaded from.
+	if again, err := back.Save(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("Save after Load differs from the image loaded (err %v)", err)
+	}
+	if back.Stats().VersionsHeld != s.Stats().VersionsHeld {
+		t.Fatalf("VersionsHeld %d vs %d", back.Stats().VersionsHeld, s.Stats().VersionsHeld)
 	}
 	if back.CurrentVersion() != s.CurrentVersion() {
 		t.Fatalf("TSO %v vs %v", back.CurrentVersion(), s.CurrentVersion())

@@ -2,13 +2,16 @@ package mvcc
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"unbundle/internal/core"
 	"unbundle/internal/keyspace"
+	"unbundle/internal/metrics"
 )
 
 func TestViewClipsRange(t *testing.T) {
@@ -142,5 +145,58 @@ func TestWatchableStoreEndToEnd(t *testing.T) {
 	}
 	if ws.Hub().Stats().Appends != 2 {
 		t.Fatalf("hub appends = %d", ws.Hub().Stats().Appends)
+	}
+}
+
+// TestCommitAllocatesWhatItStores pins the write path's allocation budget on
+// the shape live_local runs: an 8-key commit over existing keys, through the
+// built-in hub to 8 range watchers, allocates two objects per written key —
+// the value copy and the version record — and nothing per commit.
+func TestCommitAllocatesWhatItStores(t *testing.T) {
+	const nKeys, perTxn, watchers = 1024, 8, 8
+	ws := NewWatchableStore(core.HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()})
+	defer ws.Close()
+	keys := make([]keyspace.Key, nKeys)
+	for i := range keys {
+		keys[i] = keyspace.NumericKey(i)
+		ws.Put(keys[i], []byte("seed"))
+	}
+	var delivered atomic.Int64
+	for _, r := range keyspace.EvenSplit(nKeys, watchers) {
+		cancel, err := ws.Watch(r, ws.CurrentVersion(), core.Funcs{
+			Event: func(core.ChangeEvent) { delivered.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+	}
+	val := make([]byte, 64)
+	var off int
+	var sent int64
+	txFn := func(tx *Tx) error {
+		for i := 0; i < perTxn; i++ {
+			tx.Put(keys[off+i], val)
+		}
+		return nil
+	}
+	commit := func() {
+		off = (off + 61*perTxn) % (nKeys - perTxn)
+		if _, err := ws.Commit(txFn); err != nil {
+			t.Fatal(err)
+		}
+		// Wait the watchers out, so that no ring fills and every run pays
+		// for its own deliveries.
+		for sent += perTxn; delivered.Load() < sent; {
+			runtime.Gosched()
+		}
+	}
+	// Let the hub's retention window fill and its segment pool start
+	// recycling before counting.
+	for i := 0; i < 256; i++ {
+		commit()
+	}
+	if n := testing.AllocsPerRun(200, commit); n != 2*perTxn {
+		t.Fatalf("an %d-key commit allocated %v objects, want %d", perTxn, n, 2*perTxn)
 	}
 }
