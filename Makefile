@@ -104,11 +104,14 @@ fuzz:
 tracestress:
 	$(GO) test -count=200 -run 'TestConformance/.*/TracedStagesComplete' ./internal/coretest
 
-# flakes repeats the tier-1 test that used to fail one run in four: E17's
-# "the storm reached Shed" check read a polled pressure level; it now reads the
-# governor's own high-water and must pass 30 runs in a row.
+# flakes repeats the tier-1 tests that used to fail: E17's "the storm reached
+# Shed" check read a polled pressure level (it now reads the governor's own
+# high-water), and the lag-gauge test waited under -race for a resync its
+# blocked consumer could not deliver (it now reads the radar). Each must pass
+# 30 runs in a row.
 flakes:
 	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E17' ./internal/experiments
+	$(GO) test -race -count=30 -run TestLagGaugesExcludeLaggedAndCancelledWatchers ./internal/core
 
 # traceguard pins the cost of the (disabled) causal tracer on the hot hub
 # append path: a hub built with a disabled tracer must stay within 5% of one

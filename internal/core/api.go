@@ -136,8 +136,8 @@ type WatchCallback interface {
 // remote server's connection outbox) move a whole ring-drain's worth of
 // events in one synchronized step. Semantics are otherwise identical to
 // per-event delivery: events arrive in enqueue order, per-key version order
-// holds within and across batches, and progress/resync callbacks interleave
-// at their queued positions. The callee must not retain or mutate evs (or
+// holds within and across batches, and a progress announcement follows every
+// event it covers. The callee must not retain or mutate evs (or
 // the slice's backing array) after returning — a live drain's array is
 // reused by the dispatcher, and a catch-up replay's is a view of sealed
 // retention history shared read-only with every other replaying watcher;

@@ -35,8 +35,9 @@ type HubConfig struct {
 	// into an explicit resync for that watcher — never silent loss.
 	// Default 8192.
 	Retention int
-	// WatcherBuffer is the maximum number of undelivered items queued for one
-	// watcher before it is lagged out with a resync. Default 1024.
+	// WatcherBuffer is the maximum number of undelivered change events queued
+	// for one watcher before it is lagged out with a resync; progress takes
+	// no slot. Default 1024.
 	WatcherBuffer int
 	// Shards is the number of key-range shards the hub's ingest state
 	// (retained window, frontier, watcher index) is partitioned into. Appends
@@ -85,10 +86,10 @@ type HubConfig struct {
 type hubMetrics struct {
 	appends, progress, evictions *metrics.Counter
 	resyncs, delivered           *metrics.Counter
-	// The three overflow counters split resyncs by cause; each one is a
+	// The two overflow counters split resyncs by cause; each one is a
 	// "would have been a silent drop" that the watch contract converts into
 	// an explicit resync.
-	appendOverflow, progressOverflow, replayOverflow *metrics.Counter
+	appendOverflow, replayOverflow *metrics.Counter
 	// replayEvents counts change events delivered through the catch-up
 	// (retained-history) stream, as opposed to the live fanout; replayLatency
 	// observes one whole-watch replay stream each.
@@ -106,22 +107,21 @@ type hubMetrics struct {
 func newHubMetrics(reg *metrics.Registry) hubMetrics {
 	reg = reg.Or()
 	return hubMetrics{
-		appends:          reg.Counter("core_hub_appends_total"),
-		progress:         reg.Counter("core_hub_progress_total"),
-		evictions:        reg.Counter("core_hub_evictions_total"),
-		resyncs:          reg.Counter("core_hub_resyncs_total"),
-		delivered:        reg.Counter("core_hub_delivered_total"),
-		appendOverflow:   reg.Counter("core_hub_append_overflow_total"),
-		progressOverflow: reg.Counter("core_hub_progress_overflow_total"),
-		replayOverflow:   reg.Counter("core_hub_replay_overflow_total"),
-		replayEvents:     reg.Counter("core_hub_replay_events_total"),
-		appendLatency:    reg.Histogram("core_hub_append_latency_ns"),
-		replayLatency:    reg.Histogram("core_hub_replay_latency_ns"),
-		queueHighwater:   reg.Gauge("core_hub_watcher_queue_highwater"),
-		watchers:         reg.Gauge("core_hub_watchers"),
-		retained:         reg.Gauge("core_hub_retained_events"),
-		sealedSegments:   reg.Gauge("core_hub_sealed_segments"),
-		sealedBytes:      reg.Gauge("core_hub_sealed_segment_bytes"),
+		appends:        reg.Counter("core_hub_appends_total"),
+		progress:       reg.Counter("core_hub_progress_total"),
+		evictions:      reg.Counter("core_hub_evictions_total"),
+		resyncs:        reg.Counter("core_hub_resyncs_total"),
+		delivered:      reg.Counter("core_hub_delivered_total"),
+		appendOverflow: reg.Counter("core_hub_append_overflow_total"),
+		replayOverflow: reg.Counter("core_hub_replay_overflow_total"),
+		replayEvents:   reg.Counter("core_hub_replay_events_total"),
+		appendLatency:  reg.Histogram("core_hub_append_latency_ns"),
+		replayLatency:  reg.Histogram("core_hub_replay_latency_ns"),
+		queueHighwater: reg.Gauge("core_hub_watcher_queue_highwater"),
+		watchers:       reg.Gauge("core_hub_watchers"),
+		retained:       reg.Gauge("core_hub_retained_events"),
+		sealedSegments: reg.Gauge("core_hub_sealed_segments"),
+		sealedBytes:    reg.Gauge("core_hub_sealed_segment_bytes"),
 	}
 }
 
@@ -168,9 +168,9 @@ type HubStats struct {
 //     per-key version order, OR the watcher receives OnResync — there is no
 //     third outcome (contrast §3.1: pubsub retention GC has exactly this
 //     third, silent outcome);
-//   - ProgressEvents are forwarded clipped to R (possibly split along shard
-//     boundaries — each piece is range-scoped truthful), and never claim
-//     more than the store has confirmed;
+//   - the watcher is told the hub's progress frontier clipped to R as it
+//     rises: never a segment it was already told, never ahead of an
+//     undelivered event in R, never beyond what the store has confirmed;
 //   - a watcher that requests pre-eviction history, lags beyond its buffer,
 //     or survives a hub state wipe gets OnResync with the minimum version its
 //     recovery snapshot must reflect.
@@ -179,9 +179,8 @@ type HubStats struct {
 // slice of the retained window, the progress frontier, and the watcher
 // index, under its own lock. A key lives in exactly one shard, so per-key
 // version order survives sharding; a watcher spanning several shards
-// registers in each and funnels every shard's deliveries through one
-// ring-buffer queue drained by one dispatch goroutine, so its callbacks stay
-// serialized.
+// registers in each and funnels every shard's events through one queue
+// drained by one dispatch goroutine, so its callbacks stay serialized.
 //
 // Lock order (outermost first): regMu, then shard locks in ascending shard
 // index, then watcher ring locks. Ingest paths (Append/AppendBatch/Progress)
@@ -245,7 +244,6 @@ type hubShard struct {
 	frontier VersionMap
 	watchers map[int64]*hubWatcher // watchers registered in this shard
 	index    watcherIndex          // shard-clipped range → watcher ids
-	progSet  map[int64]struct{}    // reusable dedupe set for progress fanout
 
 	appends, evictions, delivered int64
 }
@@ -291,7 +289,6 @@ func NewHub(cfg HubConfig) *Hub {
 			idx:      i,
 			rng:      r,
 			watchers: make(map[int64]*hubWatcher),
-			progSet:  make(map[int64]struct{}),
 		})
 	}
 	h.registerLagGauges(cfg.Metrics.Or())
@@ -341,7 +338,7 @@ func (h *Hub) minResyncVersion() Version {
 // counters are flushed once, outside every shard lock.
 type ingestFx struct {
 	appends, delivered, evictions, retained int64
-	appendOverflow, progressOverflow        int64
+	appendOverflow                          int64
 	sampleLatency                           bool
 	lagged                                  []laggedRef // cross-shard index removal, deferred
 }
@@ -368,9 +365,6 @@ func (h *Hub) flushIngest(fx *ingestFx) {
 	}
 	if fx.appendOverflow > 0 {
 		h.met.appendOverflow.Add(fx.appendOverflow)
-	}
-	if fx.progressOverflow > 0 {
-		h.met.progressOverflow.Add(fx.progressOverflow)
 	}
 }
 
@@ -579,7 +573,7 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 		if ev.Trace != 0 {
 			h.tracer.Record(ev.Trace, trace.StageEnqueue)
 		}
-		if w.q.enqueue(item{kind: kindEvent, ev: ev}) {
+		if w.q.enqueue(ev) {
 			s.delivered++
 			fx.delivered++
 		} else {
@@ -666,11 +660,12 @@ func (h *Hub) AppendBatch(evs []ChangeEvent) error {
 
 // Progress implements Ingester: the store confirms completeness of the event
 // stream for a range up to a version. The claim is split along shard
-// boundaries; each shard raises its frontier slice and fans the clipped
-// claim out through its range index, so watchers with no overlap are never
-// touched.
+// boundaries; each shard raises its frontier slice and wakes the watchers
+// its range index finds overlapping the clipped claim, so watchers with no
+// overlap are never touched. A claim holds no queue slot: each woken
+// dispatcher reads the frontier itself, so progress can never overflow a
+// watcher, and a burst of claims costs a slow watcher one announcement.
 func (h *Hub) Progress(p ProgressEvent) error {
-	var fx ingestFx
 	for _, s := range h.shards {
 		clipped := p.Range.Intersect(s.rng)
 		if clipped.Empty() {
@@ -679,36 +674,21 @@ func (h *Hub) Progress(p ProgressEvent) error {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			h.finishLagged(&fx)
-			h.flushIngest(&fx)
 			return ErrClosed
 		}
 		if v := uint64(p.Version); v > s.maxSeen.Load() {
 			s.maxSeen.Store(v)
 		}
+		// Raise before waking, under the lock every append to this shard
+		// takes: an event the new frontier covers is already queued.
 		s.frontier.Raise(clipped, p.Version)
-		// A full watcher buffer must lag the watcher out here exactly as
-		// Append does: dropping the progress event instead would stall the
-		// watcher's knowledge frontier forever with no signal — the "third
-		// outcome" the contract forbids.
-		s.index.lookupRange(clipped, s.progSet, func(id int64) {
-			w := s.watchers[id]
-			if w == nil || w.lagged.Load() {
-				return
-			}
-			wc := clipped.Intersect(w.rng)
-			if wc.Empty() {
-				return
-			}
-			if !w.q.enqueue(item{kind: kindProgress, prog: ProgressEvent{Range: wc, Version: p.Version}}) {
-				fx.progressOverflow++
-				h.lagOutLocked(w, s, "watcher buffer overflow on progress", 0, &fx)
+		s.index.overlapping(clipped, func(id int64) {
+			if w := s.watchers[id]; w != nil && !w.lagged.Load() {
+				w.q.wake()
 			}
 		})
 		s.mu.Unlock()
 	}
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
 	h.progressCalls.Add(1)
 	h.met.progress.Inc()
 	// Checkpoint the frontier's passage of p.Version for the lag radar:
@@ -751,7 +731,6 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 	h.watchers[w.id] = w
 
 	var fx ingestFx
-	var marks []item // frontier marks, reused across this watch's shards
 	failReason := ""
 	for _, s := range h.shards {
 		clip := r.Intersect(s.rng)
@@ -777,28 +756,15 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 		// would leave behind is precisely the gapped delivery the contract
 		// forbids.
 		w.replay = s.snapshotReplayLocked(w.replay, clip, from)
-		// Tell the watcher the current frontier over its range so it can
-		// establish knowledge without waiting for the next progress tick.
-		// The marks ride the ring, which drains only after the replay stream
-		// finishes, so no claim outruns the replayed events it covers.
-		marks = marks[:0]
-		for _, seg := range s.frontier.Segments() {
-			fc := seg.Range.Intersect(clip)
-			if fc.Empty() {
-				continue
-			}
-			marks = append(marks, item{kind: kindProgress, prog: ProgressEvent{Range: fc, Version: seg.Version}})
-		}
-		_, ok := w.q.enqueueBatch(marks)
 		s.mu.Unlock()
-		if !ok {
-			failReason = "retained-window replay exceeds watcher buffer"
-			break
-		}
 	}
 	if failReason != "" {
 		h.lagOutLocked(w, nil, failReason, 0, &fx)
 	}
+	// Announce the current frontier on the first dispatch, after the replay,
+	// so the watcher establishes knowledge without waiting for the next
+	// progress claim.
+	w.q.moved.Store(true)
 	h.met.watchers.Set(int64(len(h.watchers)))
 	h.regMu.Unlock()
 	h.finishLagged(&fx)
@@ -867,7 +833,6 @@ func (h *Hub) Wipe() {
 		// Re-evaluate: everyone resyncs afresh, including previously lagged
 		// watchers.
 		w.lagged.Store(true)
-		w.q.reopen()
 		h.resyncs.Add(1)
 		h.met.resyncs.Inc()
 		for _, s := range h.shards {
@@ -888,17 +853,27 @@ func (h *Hub) Wipe() {
 // Frontier returns a copy of the current progress frontier, merged across
 // shards.
 func (h *Hub) Frontier() *VersionMap {
-	// Shards are disjoint and ascending, so their segments arrive in key
-	// order; appendSegment merges equal versions across shard boundaries.
-	var segs []RangeVersion
+	return &VersionMap{segs: h.frontierOver(keyspace.Full(), nil)}
+}
+
+// frontierOver appends the frontier over r to dst, reading each overlapping
+// shard under its lock. Shards are disjoint and ascending, so segments
+// arrive in key order; appendSegment merges equal versions across shard
+// boundaries.
+func (h *Hub) frontierOver(r keyspace.Range, dst []RangeVersion) []RangeVersion {
 	for _, s := range h.shards {
+		if !s.rng.Overlaps(r) {
+			continue
+		}
 		s.mu.Lock()
 		for _, seg := range s.frontier.Segments() {
-			segs = appendSegment(segs, seg.Range, seg.Version)
+			if fc := seg.Range.Intersect(r); !fc.Empty() {
+				dst = appendSegment(dst, fc, seg.Version)
+			}
 		}
 		s.mu.Unlock()
 	}
-	return &VersionMap{segs: segs}
+	return dst
 }
 
 // Stats returns a snapshot of the hub's counters.
@@ -968,17 +943,23 @@ type hubWatcher struct {
 
 	// replay is the pinned retained-history snapshot assembled at
 	// registration: segment views this watcher's dispatch goroutine streams
-	// (and releases) exactly once, before entering the live drain loop.
+	// (and releases) exactly once, before entering the live loop.
 	replay []segView
 
+	// told is the frontier over rng as last announced to the callback, and
+	// next the buffer the following read fills; the two swap after every
+	// announcement. Owned by the dispatch goroutine.
+	told VersionMap
+	next []RangeVersion
+
 	// lagged marks that the hub has stopped feeding this watcher; the only
-	// remaining delivery is the resync already queued. It is a fast-path
+	// remaining delivery is the resync already pending. It is a fast-path
 	// filter — the ring's own state is what makes the cut-over atomic.
 	lagged atomic.Bool
 
 	// lastSeen is the highest version this watcher has consumed — via a
-	// delivered change event or a progress mark — and the watcher's position
-	// on the lag radar. Written only by the dispatch goroutine; read
+	// delivered change event or an announced frontier — and the watcher's
+	// position on the lag radar. Written only by the dispatch goroutine; read
 	// atomically by WatcherLags.
 	lastSeen atomic.Uint64
 	// nDelivered counts change events dispatched to the callback.
@@ -993,84 +974,102 @@ func newHubWatcher(h *Hub, id int64, r keyspace.Range, from Version, cb WatchCal
 	return w
 }
 
-// run is the watcher's dispatch loop: it drains whole batches from the ring
-// and invokes the callbacks in enqueue order. When the callback implements
-// EventBatchCallback, each contiguous run of change events inside a drain is
-// handed over as one OnEventBatch call (the batch survives from ring to wire
-// untouched); otherwise events dispatch one OnEvent at a time. The queue
-// highwater gauge is published here, off the ingest path.
+// run is the watcher's dispatch loop. Each round it clears the moved flag,
+// reads the frontier over its range, takes every queued event, delivers
+// them, and then announces the frontier segments that changed since the last
+// announcement. That order is what keeps progress truthful: an event the
+// frontier F covers was queued before F was raised, under the shard lock the
+// read takes, so it is in the take that follows the read and is delivered
+// before F is announced. Clearing the flag before the read loses no wake: a
+// raise the read missed sets the flag again. The queue highwater gauge is
+// published here, off the ingest path.
 func (w *hubWatcher) run() {
 	// Stream the pinned retained-history snapshot first: the ring holds only
-	// frontier marks and live events enqueued after registration, so the
-	// catch-up prefix lands before anything the live stream produced.
+	// live events enqueued after registration, so the catch-up prefix lands
+	// before anything the live stream produced.
 	w.runReplay()
-	var buf []item
-	var evs []ChangeEvent // batch hand-off scratch, reused across drains
-	for {
-		batch, high, ok := w.q.drain(buf)
-		if !ok {
-			return
-		}
-		buf = batch
+	var spare []ChangeEvent
+	for w.q.wait() {
+		w.q.moved.Store(false)
+		next := w.hub.frontierOver(w.rng, w.next[:0])
+		evs, rs, high, open := w.q.take(spare)
 		if high > 0 {
 			w.hub.met.queueHighwater.Max(int64(high))
 		}
-		i := 0
-		for i < len(batch) {
-			if w.q.isCancelled() {
-				return
-			}
-			if w.batchCB != nil && batch[i].kind == kindEvent {
-				// Collect the contiguous event run starting at i.
-				evs = evs[:0]
-				j := i
-				for j < len(batch) && batch[j].kind == kindEvent {
-					evs = append(evs, batch[j].ev)
-					j++
-				}
-				maxSeen := w.lastSeen.Load()
-				for k := range evs {
-					ev := &evs[k]
-					if ev.Trace != 0 {
-						w.hub.tracer.Record(ev.Trace, trace.StageDeliver)
-					}
-					if v := uint64(ev.Version); v > maxSeen {
-						maxSeen = v
-					}
-				}
-				if maxSeen > w.lastSeen.Load() {
-					w.lastSeen.Store(maxSeen)
-				}
-				w.nDelivered.Add(int64(len(evs)))
-				w.batchCB.OnEventBatch(evs)
-				for k := range evs {
-					evs[k] = ChangeEvent{} // release payload refs until the next run
-				}
-				i = j
-				continue
-			}
-			switch it := &batch[i]; it.kind {
-			case kindEvent:
-				if it.ev.Trace != 0 {
-					w.hub.tracer.Record(it.ev.Trace, trace.StageDeliver)
-				}
-				if v := uint64(it.ev.Version); v > w.lastSeen.Load() {
-					w.lastSeen.Store(v)
-				}
-				w.nDelivered.Add(1)
-				w.cb.OnEvent(it.ev)
-			case kindProgress:
-				if v := uint64(it.prog.Version); v > w.lastSeen.Load() {
-					w.lastSeen.Store(v)
-				}
-				w.cb.OnProgress(it.prog)
-			case kindResync:
-				w.cb.OnResync(it.resync)
-			}
-			i++
+		if !w.deliver(evs) {
+			return
 		}
-		for i := range batch {
-			batch[i] = item{} // release payload refs until the next drain
+		clear(evs) // release payload refs until the array is queued into again
+		spare = evs[:0]
+		if rs != nil {
+			w.cb.OnResync(*rs)
+		}
+		if open {
+			w.announce(next)
 		}
 	}
+}
+
+// deliver hands one taken run to the callback: whole to an
+// EventBatchCallback (the batch survives from ring to wire untouched),
+// otherwise one OnEvent at a time. It reports false once the watch is
+// cancelled.
+func (w *hubWatcher) deliver(evs []ChangeEvent) bool {
+	if w.q.isCancelled() {
+		return false
+	}
+	if len(evs) == 0 {
+		return true
+	}
+	if w.batchCB != nil {
+		maxSeen := w.lastSeen.Load()
+		for k := range evs {
+			ev := &evs[k]
+			if ev.Trace != 0 {
+				w.hub.tracer.Record(ev.Trace, trace.StageDeliver)
+			}
+			if v := uint64(ev.Version); v > maxSeen {
+				maxSeen = v
+			}
+		}
+		w.lastSeen.Store(maxSeen)
+		w.nDelivered.Add(int64(len(evs)))
+		w.batchCB.OnEventBatch(evs)
+		return true
+	}
+	for k := range evs {
+		if k > 0 && w.q.isCancelled() {
+			return false
+		}
+		ev := &evs[k]
+		if ev.Trace != 0 {
+			w.hub.tracer.Record(ev.Trace, trace.StageDeliver)
+		}
+		if v := uint64(ev.Version); v > w.lastSeen.Load() {
+			w.lastSeen.Store(v)
+		}
+		w.nDelivered.Add(1)
+		w.cb.OnEvent(*ev)
+	}
+	return true
+}
+
+// announce tells the callback each segment of next that raises some key of
+// it above what the watcher was last told, then makes next the told
+// frontier. The frontier never falls while a watcher is open (a wipe lags
+// every watcher out), so a segment told nothing new is a repeat and skipped.
+func (w *hubWatcher) announce(next []RangeVersion) {
+	for _, seg := range next {
+		if w.told.MinOver(seg.Range) >= seg.Version {
+			continue
+		}
+		if w.q.isCancelled() {
+			return
+		}
+		if v := uint64(seg.Version); v > w.lastSeen.Load() {
+			w.lastSeen.Store(v)
+		}
+		w.cb.OnProgress(ProgressEvent{Range: seg.Range, Version: seg.Version})
+	}
+	w.next, w.told.segs = w.told.segs[:0], next
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // watcherRing digs a registered watcher's delivery queue out of the hub, so
-// tests can assert on enqueue counts (e.g. "this fanout never touched that
+// tests can assert on its counts (e.g. "this fanout never touched that
 // watcher").
 func watcherRing(h *Hub, id int64) *ring {
 	h.regMu.Lock()
@@ -60,8 +60,8 @@ func TestHubDeliveredMetricsMatchStats(t *testing.T) {
 }
 
 // TestHubProgressShardIsolation: a progress claim over shard A's range must
-// never touch a watcher registered only in shard B — not even with a dropped
-// enqueue. The watcher's ring enqueue counter proves "never touched".
+// never touch a watcher registered only in shard B — not even with a wake.
+// The watcher's ring touch counter proves "never touched".
 func TestHubProgressShardIsolation(t *testing.T) {
 	h := NewHub(HubConfig{Shards: 4})
 	defer h.Close()
@@ -89,7 +89,7 @@ func TestHubProgressShardIsolation(t *testing.T) {
 		_, ps, _ := a.snapshot()
 		return len(ps) >= 1 && ps[len(ps)-1].Version == 10
 	})
-	if got := watcherRing(h, 1).enqueues(); got != 0 {
+	if got := watcherRing(h, 1).touches(); got != 0 {
 		t.Fatalf("shard-B watcher was touched %d times by shard-A progress", got)
 	}
 	// Sanity: the claim reached A clipped to its range.
@@ -101,13 +101,10 @@ func TestHubProgressShardIsolation(t *testing.T) {
 	}
 }
 
-// TestHubProgressCoalescing: queued progress claims for the same clipped
-// range coalesce to the newest version instead of each taking a slot — a
-// burst of same-range ticks can no longer lag a wedged watcher out.
+// TestHubProgressCoalescing: claims raised while the watcher is busy reach
+// it as one announcement of the newest frontier — a burst of same-range
+// ticks costs a wedged watcher nothing and can never lag it out.
 func TestHubProgressCoalescing(t *testing.T) {
-	// Shards pinned to 1: coalescing is a per-queue property, and a
-	// multi-shard hub would split each Full-range claim into several
-	// distinct clipped ranges.
 	h := NewHub(HubConfig{WatcherBuffer: 4, Shards: 1})
 	defer h.Close()
 	entered := make(chan struct{})
@@ -158,124 +155,6 @@ func TestHubProgressCoalescing(t *testing.T) {
 		if got[i].Version <= got[i-1].Version {
 			t.Fatalf("coalesced claims out of order: %v", got)
 		}
-	}
-}
-
-// TestRingProgressNeverPassesQueuedEvent pins the supersede rule: a progress
-// mark may be raised in place only while nothing but marks is queued behind
-// it. With [ev v1, P v1, ev v2] queued, P v2 must land behind ev v2 — raised
-// in place it would read [ev v1, P v2, ev v2] and claim v2 complete before
-// delivering it.
-func TestRingProgressNeverPassesQueuedEvent(t *testing.T) {
-	r := newRing(8)
-	full := keyspace.Full()
-	ev := func(v Version) item { return item{kind: kindEvent, ev: put("k", v)} }
-	prog := func(v Version) item {
-		return item{kind: kindProgress, prog: ProgressEvent{Range: full, Version: v}}
-	}
-	for _, it := range []item{ev(1), prog(1), ev(2), prog(2), prog(3), prog(2)} {
-		if !r.enqueue(it) {
-			t.Fatalf("enqueue %+v refused", it)
-		}
-	}
-	// ev v1, ev v2 and one tail mark (P v2 raised in place to v3, the stale
-	// P v2 after it absorbed); the voided P v1 is not counted.
-	if d := r.depth(); d != 3 {
-		t.Fatalf("depth = %d, want 3 live items", d)
-	}
-	batch, _, ok := r.drain(nil)
-	if !ok {
-		t.Fatal("drain reported cancelled")
-	}
-	// The voided slot is gone, so the two events are one contiguous run, and
-	// the mark carries the highest version claimed for the range.
-	want := []item{ev(1), ev(2), prog(3)}
-	if len(batch) != len(want) {
-		t.Fatalf("drained %d items, want %d: %+v", len(batch), len(want), batch)
-	}
-	for i := range want {
-		if batch[i].kind != want[i].kind || batch[i].ev.Version != want[i].ev.Version || batch[i].prog != want[i].prog {
-			t.Fatalf("batch[%d] = %+v, want %+v", i, batch[i], want[i])
-		}
-	}
-
-	// A superseding mark never carries a lower version than the one it voids.
-	for _, it := range []item{prog(9), ev(4), prog(5)} {
-		r.enqueue(it)
-	}
-	batch, _, _ = r.drain(batch)
-	if len(batch) != 2 || batch[0].ev.Version != 4 || batch[1].prog.Version != 9 {
-		t.Fatalf("after a stale claim: %+v, want [ev v4, P v9]", batch)
-	}
-
-	// Superseding leaves the live count unchanged, so a full ring takes the
-	// mark either way: moved to the tail, or raised in place.
-	small := newRing(2)
-	small.enqueue(prog(1))
-	small.enqueue(ev(2))
-	if !small.enqueue(prog(2)) {
-		t.Fatal("superseding mark refused by a full ring")
-	}
-	batch, _, _ = small.drain(batch)
-	if len(batch) != 2 || batch[0].ev.Version != 2 || batch[1].prog.Version != 2 {
-		t.Fatalf("full ring after a supersede: %+v, want [ev v2, P v2]", batch)
-	}
-	small = newRing(2)
-	small.enqueue(ev(1))
-	small.enqueue(prog(1))
-	if !small.enqueue(prog(2)) {
-		t.Fatal("in-place raise refused by a full ring")
-	}
-}
-
-// TestRingVoidedSlotsDoNotCountAgainstMax is the stalled watcher that gets one
-// progress mark per commit: every mark but the last is voided behind the next
-// event, and the ring must still hold max live items — reclaiming the voided
-// slots as it grows and once it cannot — and hand them out in order.
-func TestRingVoidedSlotsDoNotCountAgainstMax(t *testing.T) {
-	const max = 3*ringMinCap + 9
-	r := newRing(max)
-	full := keyspace.Full()
-	other := keyspace.Range{Low: "a", High: "b"}
-	prog := func(rg keyspace.Range, v Version) item {
-		return item{kind: kindProgress, prog: ProgressEvent{Range: rg, Version: v}}
-	}
-	// A second range's mark queued once at the head stays put through every
-	// compaction and is still superseded correctly at the end.
-	r.enqueue(prog(other, 0))
-	v := Version(0)
-	for {
-		if !r.enqueue(item{kind: kindEvent, ev: put("k", v+1)}) {
-			break
-		}
-		v++
-		if !r.enqueue(prog(full, v)) {
-			t.Fatalf("mark v%d refused with %d live items", v, r.depth())
-		}
-		if d := r.depth(); d != int(v)+2 {
-			t.Fatalf("after commit v%d: depth %d, want %d", v, d, v+2)
-		}
-	}
-	if want := Version(max - 2); v != want {
-		t.Fatalf("ring of %d took %d commits before overflowing, want %d", max, v, want)
-	}
-	if !r.enqueue(prog(other, v)) {
-		t.Fatal("superseding mark refused by a full ring")
-	}
-	batch, high, _ := r.drain(nil)
-	if high != max {
-		t.Fatalf("highwater = %d, want %d live items", high, max)
-	}
-	if len(batch) != max {
-		t.Fatalf("drained %d items, want %d", len(batch), max)
-	}
-	for i, it := range batch[:max-2] {
-		if it.kind != kindEvent || it.ev.Version != Version(i+1) {
-			t.Fatalf("batch[%d] = %+v, want ev v%d", i, it, i+1)
-		}
-	}
-	if a, b := batch[max-2].prog, batch[max-1].prog; a != prog(full, v).prog || b != prog(other, v).prog {
-		t.Fatalf("tail marks = %+v, %+v", a, b)
 	}
 }
 

@@ -273,8 +273,8 @@ func TestHubFrontierQuery(t *testing.T) {
 }
 
 // TestHubProgressAllocatesNothing pins the per-commit cost the store's
-// progress mark adds: raising the frontier and queueing one mark per
-// overlapping watcher allocates nothing once the rings have grown.
+// progress claim adds: raising the frontier, waking each overlapping watcher
+// and its dispatcher's read and announcement allocate nothing.
 func TestHubProgressAllocatesNothing(t *testing.T) {
 	h := NewHub(HubConfig{Shards: 1, Metrics: metrics.NewRegistry()})
 	defer h.Close()
@@ -293,8 +293,8 @@ func TestHubProgressAllocatesNothing(t *testing.T) {
 		if err := h.Progress(ProgressEvent{Range: keyspace.Full(), Version: v}); err != nil {
 			t.Fatal(err)
 		}
-		// Every watcher takes its mark before the next claim, so none is
-		// superseded in the ring and the count is exact.
+		// Every watcher announces each claim before the next is made, so
+		// none is folded into a later one and the count is exact.
 		for delivered.Load() < int64(v)*watchers {
 			runtime.Gosched()
 		}
@@ -304,6 +304,65 @@ func TestHubProgressAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, progress); n != 0 {
 		t.Fatalf("Progress over %d watchers: %v allocs, want 0", watchers, n)
+	}
+}
+
+// ringCap returns the capacity of the watcher's queued-event array.
+func ringCap(q *ring) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return cap(q.evs)
+}
+
+// TestHubReplayOnlyWatchAllocatesNoRing: a watch that replays retained
+// history and is told the frontier, but never sees a live event, never
+// allocates a queue — the frontier rides no slot.
+func TestHubReplayOnlyWatchAllocatesNoRing(t *testing.T) {
+	h := NewHub(HubConfig{Metrics: metrics.NewRegistry()})
+	defer h.Close()
+	for i := 1; i <= 32; i++ {
+		h.Append(put(fmt.Sprintf("k%02d", i), Version(i)))
+	}
+	h.Progress(ProgressEvent{Range: keyspace.Full(), Version: 32})
+	var c collector
+	cancel, err := h.Watch(keyspace.Full(), 16, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "replay and frontier", func() bool {
+		evs, ps, _ := c.snapshot()
+		return len(evs) == 16 && len(ps) > 0 && ps[len(ps)-1].Version == 32
+	})
+	if n := ringCap(watcherRing(h, 0)); n != 0 {
+		t.Fatalf("replay-only watch allocated a ring of %d slots", n)
+	}
+	cancel()
+}
+
+// TestHubIdleWatcherQueuesNothingOnProgress: progress never occupies a
+// watcher's queue, however many claims arrive.
+func TestHubIdleWatcherQueuesNothingOnProgress(t *testing.T) {
+	h := NewHub(HubConfig{WatcherBuffer: 4, Metrics: metrics.NewRegistry()})
+	defer h.Close()
+	var c collector
+	cancel, err := h.Watch(keyspace.Full(), NoVersion, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	q := watcherRing(h, 0)
+	for v := Version(1); v <= 10000; v++ {
+		h.Progress(ProgressEvent{Range: keyspace.Full(), Version: v})
+		if d := q.depth(); d != 0 {
+			t.Fatalf("depth %d after progress v%d, want 0", d, v)
+		}
+	}
+	waitUntil(t, "final frontier", func() bool {
+		_, ps, _ := c.snapshot()
+		return len(ps) > 0 && ps[len(ps)-1].Version == 10000
+	})
+	if _, _, rs := c.snapshot(); len(rs) != 0 {
+		t.Fatalf("progress alone resynced the watcher: %v", rs)
 	}
 }
 
@@ -610,29 +669,30 @@ func TestHubWatchReplayOverflowResyncs(t *testing.T) {
 	}
 }
 
-// Regression: Hub.Progress used to ignore enqueue overflow, so a full
-// watcher buffer silently dropped the progress event and the watcher's
-// knowledge frontier stalled forever. Overflow must lag the watcher out.
-func TestHubProgressOverflowResyncs(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := NewHub(HubConfig{WatcherBuffer: 4, Metrics: reg})
+// TestHubProgressNeverOverflows is the inverse of the old progress-overflow
+// lag-out: a claim holds no queue slot, so a consumer wedged in OnProgress
+// behind far more distinct-range claims than its buffer holds is never
+// lagged out and queues nothing, and once released it is told a frontier
+// covering every claim at its version.
+func TestHubProgressNeverOverflows(t *testing.T) {
+	h := NewHub(HubConfig{WatcherBuffer: 4, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
 	var mu sync.Mutex
-	var resyncs []ResyncEvent
+	var told VersionMap
+	var resyncs int
 	cb := Funcs{
-		Progress: func(ProgressEvent) {
+		Progress: func(p ProgressEvent) {
 			once.Do(func() { close(entered) })
 			<-release
-		},
-		Resync: func(r ResyncEvent) {
 			mu.Lock()
-			resyncs = append(resyncs, r)
+			told.Raise(p.Range, p.Version)
 			mu.Unlock()
 		},
+		Resync: func(ResyncEvent) { mu.Lock(); resyncs++; mu.Unlock() },
 	}
 	cancel, err := h.Watch(keyspace.Full(), NoVersion, cb)
 	if err != nil {
@@ -640,39 +700,37 @@ func TestHubProgressOverflowResyncs(t *testing.T) {
 	}
 	defer cancel()
 
-	// First progress event wedges the consumer inside its callback...
-	h.Progress(ProgressEvent{Range: keyspace.Range{Low: "a", High: "b"}, Version: 1})
-	<-entered
-	// ...so the next WatcherBuffer distinct-range claims fill the queue
-	// exactly (same-range claims would coalesce into one slot, by design:
-	// only the newest frontier claim for a range matters)...
-	for i := 2; i <= 5; i++ {
-		lo := keyspace.Key(rune('a' + i))
-		hi := keyspace.Key(rune('b' + i))
-		h.Progress(ProgressEvent{Range: keyspace.Range{Low: lo, High: hi}, Version: Version(i)})
+	claim := func(i int) ProgressEvent {
+		return ProgressEvent{Range: keyspace.NumericRange(i*4, i*4+3), Version: Version(i + 1)}
 	}
-	// ...and one more (again a fresh range) overflows it: the watcher must
-	// be lagged out.
-	h.Progress(ProgressEvent{Range: keyspace.Range{Low: "x", High: "y"}, Version: 6})
+	h.Progress(claim(0))
+	<-entered // the consumer is wedged inside the first announcement
+	const claims = 1000
+	for i := 1; i < claims; i++ {
+		h.Progress(claim(i))
+	}
+	ls := h.WatcherLags()
+	if len(ls) != 1 || ls[0].Lagged || ls[0].QueueDepth != 0 {
+		t.Fatalf("radar = %+v, want one open watcher with nothing queued", ls)
+	}
+	if st := h.Stats(); st.Resyncs != 0 {
+		t.Fatalf("resyncs = %d with the consumer wedged on progress, want 0", st.Resyncs)
+	}
 	close(release)
-
-	waitUntil(t, "progress-overflow resync", func() bool {
+	waitUntil(t, "every claim told", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(resyncs) == 1
+		for i := 0; i < claims; i++ {
+			if c := claim(i); told.MinOver(c.Range) < c.Version {
+				return false
+			}
+		}
+		return true
 	})
 	mu.Lock()
-	r := resyncs[0]
-	mu.Unlock()
-	if r.MinVersion != 6 {
-		t.Fatalf("resync MinVersion = %v, want 6", r.MinVersion)
-	}
-	if got := reg.Snapshot().Counters["core_hub_progress_overflow_total"]; got != 1 {
-		t.Fatalf("progress overflow counter = %d, want 1", got)
-	}
-	// The lagged watcher is off the feed: further progress is not delivered.
-	if h.Stats().Resyncs != 1 {
-		t.Fatalf("resyncs = %d, want 1", h.Stats().Resyncs)
+	defer mu.Unlock()
+	if resyncs != 0 {
+		t.Fatalf("wedged consumer resynced %d times", resyncs)
 	}
 }
 
@@ -756,14 +814,15 @@ func TestHubStressFullLifecycle(t *testing.T) {
 }
 
 // batchSink records whether events arrived via OnEventBatch or OnEvent,
-// preserving arrival order alongside interleaved progress marks.
+// preserving arrival order alongside interleaved progress announcements.
 type batchSink struct {
-	mu         sync.Mutex
-	events     []ChangeEvent
-	batches    int
-	singles    int
-	progressAt []int // event count at each progress callback
-	resyncs    int
+	mu       sync.Mutex
+	events   []ChangeEvent
+	batches  int
+	singles  int
+	progress []ProgressEvent
+	eventsAt []int // event count at each progress callback
+	resyncs  int
 }
 
 func (b *batchSink) OnEvent(ev ChangeEvent) {
@@ -780,10 +839,11 @@ func (b *batchSink) OnEventBatch(evs []ChangeEvent) {
 	b.events = append(b.events, evs...)
 }
 
-func (b *batchSink) OnProgress(ProgressEvent) {
+func (b *batchSink) OnProgress(p ProgressEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.progressAt = append(b.progressAt, len(b.events))
+	b.progress = append(b.progress, p)
+	b.eventsAt = append(b.eventsAt, len(b.events))
 }
 
 func (b *batchSink) OnResync(ResyncEvent) {
@@ -794,8 +854,8 @@ func (b *batchSink) OnResync(ResyncEvent) {
 
 // TestWatcherBatchDispatch: a callback implementing EventBatchCallback
 // receives contiguous event runs as whole batches — never via OnEvent —
-// with order preserved and progress marks interleaved at their queued
-// positions.
+// with order preserved and each progress announcement after every event it
+// covers.
 func TestWatcherBatchDispatch(t *testing.T) {
 	h := NewHub(HubConfig{Metrics: metrics.NewRegistry()})
 	defer h.Close()
@@ -829,9 +889,10 @@ func TestWatcherBatchDispatch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		sink.mu.Lock()
-		n := len(sink.events)
+		n, ps := len(sink.events), len(sink.progress)
+		done := n >= total && ps > 0 && sink.progress[ps-1].Version == total
 		sink.mu.Unlock()
-		if n >= total {
+		if done {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -859,7 +920,13 @@ func TestWatcherBatchDispatch(t *testing.T) {
 				i, sink.events[i].Version, sink.events[i-1].Version)
 		}
 	}
-	if len(sink.progressAt) == 0 {
-		t.Fatal("no progress callbacks interleaved")
+	if len(sink.progress) == 0 {
+		t.Fatal("no progress callbacks")
+	}
+	// Version v is the v-th event, so a claim through v needs v delivered.
+	for i, p := range sink.progress {
+		if sink.eventsAt[i] < int(p.Version) {
+			t.Fatalf("progress through %v announced after only %d events", p.Version, sink.eventsAt[i])
+		}
 	}
 }

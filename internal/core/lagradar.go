@@ -28,7 +28,7 @@ type WatcherLag struct {
 	// From is the version the watch started after.
 	From Version `json:"from"`
 	// LastSeen is the highest version the watcher has consumed, via a
-	// delivered change event or a progress mark.
+	// delivered change event or an announced frontier.
 	LastSeen Version `json:"last_seen"`
 	// Frontier is the highest version the hub has ingested over the
 	// watcher's range (the max of the overlapping shards' high-water marks —

@@ -257,20 +257,18 @@ func TestLagGaugesExcludeLaggedAndCancelledWatchers(t *testing.T) {
 	defer cancel()
 
 	// Overflow the blocked watcher far past its buffer: it lags out with a
-	// large frozen version lag.
+	// large frozen version lag. The lag-out is read off the radar, not the
+	// resync callback: a dispatcher already blocked in OnEvent delivers the
+	// resync only after the gate opens.
 	for i := 1; i <= 64; i++ {
 		h.Append(put(fmt.Sprintf("k%d", i), Version(i)))
 	}
 	waitUntil(t, "lag-out", func() bool {
-		_, _, rs := g.snapshot()
-		return len(rs) > 0
+		ls := h.WatcherLags()
+		return len(ls) == 1 && ls[0].Lagged
 	})
-	g.unblock()
 
 	ls := h.WatcherLags()
-	if len(ls) != 1 || !ls[0].Lagged {
-		t.Fatalf("radar = %+v, want one lagged watcher", ls)
-	}
 	if ls[0].VersionLag == 0 {
 		t.Fatal("lagged watcher shows zero lag; test lost its premise")
 	}
@@ -284,6 +282,7 @@ func TestLagGaugesExcludeLaggedAndCancelledWatchers(t *testing.T) {
 	if got := snap.Gauges["core_hub_watcher_time_behind_ns_max"]; got != 0 {
 		t.Fatalf("time_behind_ns_max = %d with only a lagged watcher, want 0", got)
 	}
+	g.unblock()
 
 	// Cancelling removes the watcher from the radar entirely.
 	cancel()

@@ -55,7 +55,7 @@ func (s *hubShard) snapshotReplayLocked(views []segView, clip keyspace.Range, fr
 }
 
 // runReplay streams the watcher's pinned retained-history snapshot to its
-// callback before the live drain loop starts, outside every shard lock.
+// callback before the live loop starts, outside every shard lock.
 // Delivery is zero-copy: a batch-capable callback receives contiguous
 // sub-slices of the pinned segment arrays directly. The stream is bounded by
 // the watcher's buffer size — exactly WatcherBuffer replayed events succeed;

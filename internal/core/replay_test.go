@@ -15,9 +15,8 @@ import (
 // TestHubReplayExactlyWatcherBufferSucceeds pins the replay-overflow
 // boundary: a retained-window replay of exactly the watcher's buffer size
 // must deliver cleanly, and one event more must lag the watcher out with a
-// resync. (The pre-segment implementation had this boundary buried in a ring
-// enqueueBatch result at watch time; it now lives in the off-lock stream's
-// budget check, and either way it must not be off by one.)
+// resync. The boundary is the off-lock stream's budget check, and it must not
+// be off by one.
 func TestHubReplayExactlyWatcherBufferSucceeds(t *testing.T) {
 	const buffer = 16
 	reg := metrics.NewRegistry()

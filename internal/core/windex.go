@@ -125,36 +125,24 @@ func (x *watcherIndex) lookup(k keyspace.Key, fn func(id int64)) {
 	}
 }
 
-// lookupRange calls fn once per watcher id whose coverage overlaps r. A
-// watcher's range may have been split across several segments, so seen (a
-// caller-owned scratch set, cleared on entry) dedupes ids across them. Like
+// overlapping calls fn for every watcher id whose coverage overlaps r, once
+// per overlapping segment: a watcher whose range was split across several
+// segments is reported once for each, which suits an idempotent fn. Like
 // lookup, the walk starts at the first overlapping segment by binary search
 // and stops at the first segment past r, so cost scales with overlap, not
 // index size.
-func (x *watcherIndex) lookupRange(r keyspace.Range, seen map[int64]struct{}, fn func(id int64)) {
+func (x *watcherIndex) overlapping(r keyspace.Range, fn func(id int64)) {
 	if r.Empty() {
 		return
-	}
-	for id := range seen {
-		delete(seen, id)
 	}
 	i := sort.Search(len(x.segs), func(i int) bool {
 		s := x.segs[i]
 		return s.r.High >= keyspace.Inf || s.r.High > r.Low
 	})
-	for ; i < len(x.segs); i++ {
-		s := x.segs[i]
-		if r.High < keyspace.Inf && s.r.Low >= r.High {
-			break
-		}
-		if s.r.Intersect(r).Empty() {
-			continue
-		}
-		for _, id := range s.ids {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
+	// Every segment from i on ends past r.Low, so it overlaps r exactly
+	// when it starts before r.High.
+	for ; i < len(x.segs) && (r.High >= keyspace.Inf || x.segs[i].r.Low < r.High); i++ {
+		for _, id := range x.segs[i].ids {
 			fn(id)
 		}
 	}

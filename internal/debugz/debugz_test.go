@@ -68,8 +68,8 @@ func TestEndpointsWithNilSources(t *testing.T) {
 func TestTracesEndToEndSampled(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tracer := trace.New(trace.Config{SampleEvery: 64, Capacity: 256, Metrics: reg})
-	// WatcherBuffer must exceed the whole run (events + progress marks): if
-	// the ring overflows, the hub correctly lags the watcher out and wipes the
+	// WatcherBuffer must exceed the whole run's events: if the ring
+	// overflows, the hub correctly lags the watcher out and wipes the
 	// undelivered queue, and the wiped events would never reach the deliver
 	// stage this test asserts on.
 	ws := mvcc.NewWatchableStore(core.HubConfig{Metrics: reg, Tracer: tracer, WatcherBuffer: 1 << 13})

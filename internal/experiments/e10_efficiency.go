@@ -81,9 +81,9 @@ func runE10(opts Options) (*Result, error) {
 
 		// ---------------- watch pipeline ----------------
 		store2 := mvcc.NewStore()
-		// Watcher queues hold events AND per-commit progress marks; size for
-		// both so this throughput measurement never triggers lag-out resyncs
-		// (those are E2's subject, not E10's).
+		// Size watcher queues past every event so this throughput
+		// measurement never triggers lag-out resyncs (those are E2's subject,
+		// not E10's).
 		// Shards pinned to 1: the bounded-soft-state check below reasons about
 		// one global retention window (Retention is per shard).
 		hub := core.NewHub(core.HubConfig{Retention: 4096, WatcherBuffer: 4 * updates, Shards: 1})

@@ -43,7 +43,7 @@ func runE11(opts Options) (*Result, error) {
 		}
 		var quads []quadrant
 
-		// Watcher queues hold events plus per-commit progress marks.
+		// Watcher queues hold every event, so no quadrant lags out.
 		hubCfg := core.HubConfig{Retention: updates + 1, WatcherBuffer: 4 * updates}
 
 		// Q1: producer storage, built-in watch (Spanner change streams,

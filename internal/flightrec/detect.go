@@ -248,7 +248,6 @@ func StandardDetectors(reg *metrics.Registry) []Detector {
 		NewDeltaDetector("overflow-burst",
 			CounterSample(reg,
 				"core_hub_append_overflow_total",
-				"core_hub_progress_overflow_total",
 				"core_hub_replay_overflow_total",
 				"remote_server_overflow_resyncs_total"),
 			Thresholds{MinTrigger: 3, Factor: 4}),
