@@ -29,9 +29,8 @@ func reportQuantiles(b *testing.B, reg *unbundle.MetricsRegistry, hist, unit str
 }
 
 // reportCounters attaches registry counters to the benchmark output under
-// "ctr-<name>" units; cmd/benchjson collects those into the Counters map of
-// the BENCH_hub.json entry, so each timing record carries the behaviour
-// totals (delivered, resyncs, overflow drops) it was measured under.
+// "ctr-<name>" units, so each timing line carries the behaviour totals
+// (delivered, resyncs, overflow drops) it was measured under.
 func reportCounters(b *testing.B, reg *unbundle.MetricsRegistry, counters map[string]string) {
 	b.Helper()
 	snap := reg.Snapshot()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"unbundle/internal/cache"
@@ -37,6 +38,7 @@ func runE6(opts Options) (*Result, error) {
 		steps := opts.pick(2000, 12000)
 		movePeriod := 25        // a sharder move every movePeriod steps
 		moveWidth := nKeys / 40 // moved-range width scales with the keyspace
+		swept := nKeys + 1      // the quiescence sweep adds the pubsub arms' raced key
 		pods := []sharder.Pod{"p0", "p1", "p2", "p3"}
 
 		type outcome struct {
@@ -76,6 +78,31 @@ func runE6(opts Options) (*Result, error) {
 			// Router bootstrap.
 			clock.Advance(time.Second)
 			settle(func() bool { return c.RouterGeneration() >= 1 })
+
+			// Figure 2 by construction, on the key just past the workload's
+			// keyspace, which the workload below never writes, reads or
+			// moves: the sharder moves the key to a new owner, a read caches
+			// its value there, and the key is updated and pumped one clock
+			// step later — while the router, which learns of the move only
+			// after RouterLag, still routes by the old table.
+			race := keyspace.NumericKey(nKeys)
+			if err := c.Update(race, workload.Value(race, 1)); err != nil {
+				return err
+			}
+			clock.Advance(20 * time.Millisecond)
+			c.Pump()
+			to := pods[(slices.Index(pods, c.Sharder().Owner(race))+1)%len(pods)]
+			if err := c.Sharder().MoveRange(keyspace.NumericRange(nKeys, nKeys+1), to); err != nil {
+				return err
+			}
+			if _, err := c.Read(race); err != nil {
+				return err
+			}
+			if err := c.Update(race, workload.Value(race, 2)); err != nil {
+				return err
+			}
+			clock.Advance(20 * time.Millisecond)
+			c.Pump()
 
 			var recent []keyspace.Key
 			for i := 0; i < steps; i++ {
@@ -127,10 +154,11 @@ func runE6(opts Options) (*Result, error) {
 			stale, checked := oracle.SweepPubSub(c)
 			st := oracle.Stats()
 			cst := c.Stats()
-			// Post-quiescence sweep read: every key, once. Any staleness now
-			// is permanent — no pending invalidation can fix it.
+			// Post-quiescence sweep read: every key, the raced one included,
+			// once. Any staleness now is permanent — no pending invalidation
+			// can fix it.
 			staleAfter := 0
-			for key := 0; key < nKeys; key++ {
+			for key := 0; key < swept; key++ {
 				rk := keyspace.NumericKey(key)
 				stale, err := staleAfterQuiescence(rk, func() ([]byte, error) {
 					r, err := c.Read(rk)
@@ -232,7 +260,7 @@ func runE6(opts Options) (*Result, error) {
 			wResyncs += p.Resyncs()
 		}
 		wStaleAfter := 0
-		for key := 0; key < nKeys; key++ {
+		for key := 0; key < swept; key++ {
 			rk := keyspace.NumericKey(key)
 			stale, err := staleAfterQuiescence(rk, func() ([]byte, error) {
 				r, err := wc.Read(rk)
@@ -259,7 +287,7 @@ func runE6(opts Options) (*Result, error) {
 			"topology", "reads", "stale reads", "permanently stale entries", "stale after quiescence", "unavailable reads", "per-pod feed msgs", "resyncs")
 		for _, o := range outcomes {
 			tbl.AddRow(o.name, o.reads, o.staleReads, fmt.Sprintf("%d/%d", o.permStale, o.checked),
-				fmt.Sprintf("%d/%d", o.staleAfter, nKeys), o.unavailable, o.podMsgs, o.resyncs)
+				fmt.Sprintf("%d/%d", o.staleAfter, swept), o.unavailable, o.podMsgs, o.resyncs)
 		}
 		tbl.AddNote("'permanently stale' = cache entries still wrong after full quiescence: no invalidation will ever fix them")
 		res.Table = tbl
@@ -283,9 +311,9 @@ func runE6(opts Options) (*Result, error) {
 		// what remains once everything quiesces: watch staleness is transient
 		// (the event stream cures it), routed pubsub's is permanent.
 		res.check("after quiescence, watch serves zero stale reads",
-			watch.staleAfter == 0, "%d of %d keys", watch.staleAfter, nKeys)
+			watch.staleAfter == 0, "%d of %d keys", watch.staleAfter, swept)
 		res.check("after quiescence, routed pubsub still serves stale reads",
-			routed.staleAfter > 0, "%d of %d keys", routed.staleAfter, nKeys)
+			routed.staleAfter > 0, "%d of %d keys", routed.staleAfter, swept)
 		return nil
 	})
 }

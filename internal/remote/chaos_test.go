@@ -134,10 +134,13 @@ func TestChaosHeartbeatDetectsHalfOpen(t *testing.T) {
 }
 
 // TestChaosRepeatedSeverConvergence is the acceptance-criteria run: ≥3
-// forced partitions under load, after which every watcher has converged with
-// no duplicates, no gaps, per-key order intact — and the client's metrics
-// and trace stages are continuous across the reconnects (one logical watch,
-// every trace complete through all six stages).
+// forced partitions under load, after which every one of 8 full-range
+// watches on the client's one connection has converged with no duplicates,
+// no gaps, per-key order intact — and the client's metrics and trace stages
+// are continuous across the reconnects (stable watch IDs, every trace
+// complete through all six stages). The watches share runs, so most of
+// their frames are repeats; no decode error means each new connection's
+// first event frame was a full batch.
 func TestChaosRepeatedSeverConvergence(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tracer := trace.New(trace.Config{
@@ -170,30 +173,41 @@ func TestChaosRepeatedSeverConvergence(t *testing.T) {
 	}
 	defer client.Close()
 
+	const watches = 8
 	var mu sync.Mutex
-	lastByKey := make(map[keyspace.Key]core.Version)
-	var total atomic.Int64
+	var totals [watches]atomic.Int64
 	var orderViolations, dups, resyncs atomic.Int64
-	cancel, err := client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
-		Event: func(ev core.ChangeEvent) {
-			mu.Lock()
-			switch last := lastByKey[ev.Key]; {
-			case ev.Version == last:
-				dups.Add(1)
-			case ev.Version < last:
-				orderViolations.Add(1)
-			default:
-				lastByKey[ev.Key] = ev.Version
-				total.Add(1)
-			}
-			mu.Unlock()
-		},
-		Resync: func(core.ResyncEvent) { resyncs.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	for w := range watches {
+		lastByKey := make(map[keyspace.Key]core.Version)
+		cancel, err := client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
+			Event: func(ev core.ChangeEvent) {
+				mu.Lock()
+				switch last := lastByKey[ev.Key]; {
+				case ev.Version == last:
+					dups.Add(1)
+				case ev.Version < last:
+					orderViolations.Add(1)
+				default:
+					lastByKey[ev.Key] = ev.Version
+					totals[w].Add(1)
+				}
+				mu.Unlock()
+			},
+			Resync: func(core.ResyncEvent) { resyncs.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
 	}
-	defer cancel()
+	converged := func(want int64) bool {
+		for w := range totals {
+			if totals[w].Load() != want {
+				return false
+			}
+		}
+		return true
+	}
 
 	const rounds, perRound = 4, 50
 	v := 0
@@ -212,7 +226,7 @@ func TestChaosRepeatedSeverConvergence(t *testing.T) {
 			}
 		}
 		want := int64(v)
-		waitUntil(t, "round delivery", func() bool { return total.Load() == want })
+		waitUntil(t, "round delivery", func() bool { return converged(want) })
 		if round < rounds {
 			dial := ctrl.Dials()
 			ctrl.SeverAll()
@@ -230,17 +244,20 @@ func TestChaosRepeatedSeverConvergence(t *testing.T) {
 		t.Fatalf("%d resyncs; retention covered every gap", n)
 	}
 
-	// Metrics continuity: one logical watch across all reconnects, each
-	// reconnect counted, no terminal loss.
+	// Metrics continuity: each logical watch once across all reconnects,
+	// each reconnect counted, no terminal loss, no stream a decoder refused.
 	snap := reg.Snapshot()
-	if got := snap.Counters["remote_client_watches_total"]; got != 1 {
-		t.Fatalf("remote_client_watches_total = %d, want 1 (stable watch ID)", got)
+	if got := snap.Counters["remote_client_watches_total"]; got != watches {
+		t.Fatalf("remote_client_watches_total = %d, want %d (stable watch IDs)", got, watches)
 	}
 	if got := snap.Counters["remote_client_reconnects_total"]; got < int64(rounds-1) {
 		t.Fatalf("remote_client_reconnects_total = %d, want >= %d", got, rounds-1)
 	}
-	if got := snap.Counters["remote_client_resumed_watches_total"]; got < int64(rounds-1) {
-		t.Fatalf("remote_client_resumed_watches_total = %d, want >= %d", got, rounds-1)
+	if got := snap.Counters["remote_client_resumed_watches_total"]; got < int64(watches*(rounds-1)) {
+		t.Fatalf("remote_client_resumed_watches_total = %d, want >= %d", got, watches*(rounds-1))
+	}
+	if got := snap.Counters["remote_client_decode_errors_total"]; got != 0 {
+		t.Fatalf("remote_client_decode_errors_total = %d, want 0", got)
 	}
 	if got := snap.Counters["remote_client_conn_lost_total"]; got < int64(rounds-1) {
 		t.Fatalf("remote_client_conn_lost_total = %d, want >= %d", got, rounds-1)
@@ -679,9 +696,17 @@ func requireClientRejects(t *testing.T, stream []byte) *ProtocolError {
 }
 
 // TestMalformedBinaryFrameClient is the mirror image of the server test: a
-// fake server says hello, then injects an over-length frame.
+// fake server says hello, then injects a frame the client must refuse.
 func TestMalformedBinaryFrameClient(t *testing.T) {
-	requireClientRejects(t, append(goodHello(), binGarbage()...))
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"over-length frame", binGarbage()},
+		{"repeat before any batch", wireBytes(func(e *binEncoder) error { return e.eventRepeat(1) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) { requireClientRejects(t, append(goodHello(), tc.frame...)) })
+	}
 }
 
 // TestMalformedHelloClient is the handshake table from the client's end.

@@ -25,6 +25,9 @@ package remote
 //	              reason(string)
 //	overloaded := id(uvarint) retryAfterMillis(zigzag) reason(string)
 //	eventBatch := id(uvarint) count(uvarint) event*count
+//	eventRepeat := id(uvarint)
+//	  the connection's previous eventBatch, delivered again to watch id. A
+//	  repeat before any batch on the connection is a decode error.
 //	snapChunk  := id(uvarint) flags(1 byte) [bound(uvarint)] at(uvarint)
 //	              err(string) count(uvarint) entry*count
 //	  flags bit 0: last chunk of the response
@@ -63,11 +66,12 @@ package remote
 // array, keys come from the dictionary, and value bytes are copied out into
 // one fresh block per frame (values are retainable by consumers, so they
 // must not alias the scratch buffer). Decode therefore costs one allocation
-// per frame carrying values, independent of event count. Snapshot entries are
-// decoded straight onto the caller's accumulator: one value block sized to
-// the chunk's value bytes and one string holding the chunk's keys (each key a
-// substring of it), so a chunk costs two allocations however many entries it
-// carries.
+// per frame carrying values, independent of event count; a repeat costs
+// nothing on either end, since it re-addresses the batch last decoded.
+// Snapshot entries are decoded straight onto the caller's accumulator: one
+// value block sized to the chunk's value bytes and one string holding the
+// chunk's keys (each key a substring of it), so a chunk costs two
+// allocations however many entries it carries.
 //
 // Hardening: the decoder trusts nothing. Frame lengths are capped at
 // maxFrameLen, every inner length is validated against the remaining
@@ -131,6 +135,7 @@ var (
 	errTrailing     = errors.New("trailing bytes after payload")
 	errBadKeyRef    = errors.New("key dictionary reference out of range")
 	errBadCount     = errors.New("element count exceeds payload")
+	errNoBatch      = errors.New("event repeat before any event batch")
 )
 
 // binEncoder is the frame encoder: one scratch buffer, one key dictionary, two
@@ -237,6 +242,13 @@ func (e *binEncoder) eventBatch(id uint64, evs []core.ChangeEvent) error {
 	return e.frame(tagEventBatch)
 }
 
+// eventRepeat sends the previous event batch again, to watch id.
+func (e *binEncoder) eventRepeat(id uint64) error {
+	e.buf = e.buf[:0]
+	e.u(id)
+	return e.frame(tagEventRepeat)
+}
+
 func (e *binEncoder) progress(id uint64, p core.ProgressEvent) error {
 	e.buf = e.buf[:0]
 	e.u(id)
@@ -324,6 +336,7 @@ type binDecoder struct {
 	cur      []byte         // unparsed remainder of the current payload
 	keys     []keyspace.Key // receive-side key dictionary, mirrors the encoder's
 	snapKeys []byte         // one snapshot chunk's key bytes, gathered; reused across chunks
+	batched  bool           // an event batch was decoded, so a repeat has a run to repeat
 }
 
 func newBinDecoder(r *bufio.Reader) *binDecoder {
@@ -542,6 +555,21 @@ func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
 	}
 	m.ID = id
 	m.Evs = evs
+	d.batched = true
+	return d.end()
+}
+
+// decodeEventRepeat addresses m, the batch the last decodeEventBatch filled,
+// to the repeat's watch.
+func (d *binDecoder) decodeEventRepeat(m *eventBatchMsg) error {
+	if !d.batched {
+		return errNoBatch
+	}
+	id, err := d.u()
+	if err != nil {
+		return err
+	}
+	m.ID = id
 	return d.end()
 }
 

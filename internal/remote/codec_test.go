@@ -184,6 +184,35 @@ var goldenFrames = []struct {
 		},
 	},
 	{
+		// A repeat only means something after a batch, so this fixture is
+		// the two-frame stream: the batch, then its repeat for watch 9.
+		name: "event_repeat",
+		encode: func(e *binEncoder) error {
+			if err := e.eventBatch(7, goldenBatch()); err != nil {
+				return err
+			}
+			return e.eventRepeat(9)
+		},
+		check: func(t *testing.T, d *binDecoder, tag uint8) {
+			requireTag(t, tag, tagEventBatch)
+			var m eventBatchMsg
+			if err := d.decodeEventBatch(&m); err != nil {
+				t.Fatal(err)
+			}
+			tag, err := d.readTag()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireTag(t, tag, tagEventRepeat)
+			if err := d.decodeEventRepeat(&m); err != nil {
+				t.Fatal(err)
+			}
+			if m.ID != 9 || !reflect.DeepEqual(m.Evs, goldenBatch()) {
+				t.Fatalf("decoded %+v, want id 9 evs %+v", m, goldenBatch())
+			}
+		},
+	},
+	{
 		name:   "event_batch_empty",
 		encode: func(e *binEncoder) error { return e.eventBatch(1, nil) },
 		check: func(t *testing.T, d *binDecoder, tag uint8) {
@@ -650,6 +679,56 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	// cannot live in the scratch buffer.
 	if decAllocs > 1 {
 		t.Fatalf("decode allocs/op = %v, want <= 1", decAllocs)
+	}
+
+	// A repeat allocates nothing: not to encode, and not to decode and
+	// deliver to a watch, since it re-addresses the batch last decoded.
+	if encAllocs = testing.AllocsPerRun(100, func() {
+		if err := enc.eventRepeat(2); err != nil {
+			t.Fatal(err)
+		}
+	}); encAllocs != 0 {
+		t.Fatalf("repeat encode allocs/op = %v, want 0", encAllocs)
+	}
+	const repeats = 100
+	var rbuf bytes.Buffer
+	renc, rbw := newTestEncoder(&rbuf)
+	if err := renc.eventBatch(1, batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < repeats; i++ {
+		if err := renc.eventRepeat(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rbw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	c := &Client{watches: map[uint64]*clientWatch{
+		2: {id: 2, cb: core.Funcs{Event: func(core.ChangeEvent) { delivered++ }}},
+	}}
+	dec = newBinDecoder(bufio.NewReader(bytes.NewReader(rbuf.Bytes())))
+	if _, err := dec.readTag(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.decodeEventBatch(&m); err != nil {
+		t.Fatal(err)
+	}
+	decAllocs = testing.AllocsPerRun(repeats-1, func() {
+		if _, err := dec.readTag(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.decodeEventRepeat(&m); err != nil {
+			t.Fatal(err)
+		}
+		c.deliverBatch(&m)
+	})
+	if decAllocs != 0 {
+		t.Fatalf("repeat decode+deliver allocs/op = %v, want 0", decAllocs)
+	}
+	if delivered != repeats*len(batch) {
+		t.Fatalf("repeats delivered %d events, want %d", delivered, repeats*len(batch))
 	}
 
 	// Snapshot chunks: a full chunk encodes without allocating, and decodes

@@ -78,6 +78,8 @@ func decodeFrameStream(t *testing.T, data []byte) {
 			err = dec.decodeSnapshot(&sr)
 		case tagEventBatch:
 			err = dec.decodeEventBatch(&batch)
+		case tagEventRepeat:
+			err = dec.decodeEventRepeat(&batch)
 		case tagProgress:
 			var m progressMsg
 			err = dec.decodeProgress(&m)

@@ -14,8 +14,8 @@ import (
 // (layout and payloads in codec.go), and there is exactly one version.
 //
 // Client → server: tagHello, tagWatch, tagCancel, tagSnapshot, tagHeartbeat.
-// Server → client: tagHello, tagEventBatch, tagProgress, tagResync,
-// tagSnapChunk, tagOverloaded, tagHeartbeat, tagShutdown.
+// Server → client: tagHello, tagEventBatch, tagEventRepeat, tagProgress,
+// tagResync, tagSnapChunk, tagOverloaded, tagHeartbeat, tagShutdown.
 //
 // Each end opens its direction with tagHello announcing protoVersion and its
 // heartbeat interval; the receiver checks the version and sizes its read
@@ -26,7 +26,9 @@ import (
 // both ends send tagHeartbeat on an idle stream.
 //
 // A whole ring-drain's worth of events for one watch travels as one
-// tagEventBatch frame, and snapshot responses stream as bounded tagSnapChunk
+// tagEventBatch frame; when it is the run the connection's previous batch
+// carried, it travels as a tagEventRepeat naming only the watch. Snapshot
+// responses stream as bounded tagSnapChunk
 // frames. tagShutdown is the graceful-drain marker: the server sends it after
 // the terminal per-watch resyncs so clients can tell "server going away" (do
 // not reconnect) from "network died" (reconnect and resume).
@@ -48,10 +50,14 @@ const (
 	// a statement about lost history — the client should back off and
 	// re-request, resuming from its frontier.
 	tagOverloaded
+	// tagEventRepeat (server → client) delivers the connection's previous
+	// event batch again, to another watch: a run several watches on one
+	// connection receive crosses the socket once.
+	tagEventRepeat
 )
 
 // protoVersion is the one wire protocol version both ends speak.
-const protoVersion = 5
+const protoVersion = 6
 
 // helloMsg opens the stream in each direction: the sender's protocol version
 // and the interval at which it will emit heartbeats on an idle stream.

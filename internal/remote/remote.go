@@ -11,10 +11,11 @@
 // event batches, progress, resyncs and snapshot chunks flow back,
 // multiplexed by watch ID. The transport never flattens the batched feed:
 // each contiguous run of events the watch system drains for one watch
-// crosses the wire as one EventBatch frame, the per-connection writer
-// coalesces flushes (flush on queue-empty or a small linger, not per
-// frame), and encode/decode buffers are pooled, so the per-event syscall
-// and allocation costs of the old protocol are gone.
+// crosses the wire as one EventBatch frame, or as a repeat naming only the
+// watch when it is the run the connection's previous batch carried; the
+// per-connection writer coalesces flushes (one per scheduling round, or a
+// small linger under backlog, never per frame), and encode/decode buffers
+// are pooled, so the per-event syscall and allocation costs are gone.
 //
 // A write stall for one slow client cannot wedge the watch system: frames
 // queue in a bounded per-connection outbox (accounted in events, not
@@ -58,6 +59,7 @@ package remote
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -66,6 +68,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -385,10 +388,10 @@ type outFrame struct {
 
 // recycle returns the frame's pooled payload, if it has one, to its pool.
 func (f *outFrame) recycle() {
-	switch f.tag {
-	case tagEventBatch:
+	switch {
+	case f.evs != nil:
 		putEvs(f.evs)
-	case tagSnapChunk:
+	case f.chunk != nil:
 		putChunk(f.chunk)
 	}
 }
@@ -972,19 +975,30 @@ func (sc *serverConn) beginDrain(reason string) {
 }
 
 // writeLoop opens the stream with the server's hello, then drains the outbox
-// through one buffered binary encoder. Flush policy: flush when the queue
-// runs empty (the common low-load case, giving per-batch latency), or when
-// encoded frames have lingered past flushLinger under sustained backlog;
-// bufio additionally writes through whenever the buffer fills. The result is
-// a few large socket writes instead of one small write per event. Every
-// socket write sits under the configured write deadline, so a stalled reader
-// tears the connection down instead of wedging this loop. When the connection
-// is draining, the loop flushes the final frames and closes.
+// through one buffered binary encoder. An event batch identical to the last
+// one encoded in full goes out as a repeat naming only its watch. Flush
+// policy: when the queue runs empty, yield once so the dispatchers woken by
+// the same commit can enqueue their runs, encode what arrived, and flush once
+// the queue is still empty — one write per scheduling round, not per watch;
+// under sustained backlog, flush when encoded frames have lingered past
+// flushLinger; bufio additionally writes through whenever the buffer fills.
+// Every socket write sits under the configured write deadline, so a stalled
+// reader tears the connection down instead of wedging this loop. When the
+// connection is draining, the loop flushes the final frames and closes.
 func (sc *serverConn) writeLoop(hello *helloMsg) {
 	bw := bufio.NewWriterSize(&countingWriter{w: sc.conn, c: sc.met.bytes}, connWriteBuffer)
 	enc := newBinEncoder(bw)
 	var local []outFrame
+	// prev is the run of the last batch encoded in full, owned by the writer
+	// until a different run replaces it.
+	var prev *[]core.ChangeEvent
+	defer func() {
+		if prev != nil {
+			putEvs(prev)
+		}
+	}()
 	var lastFlush time.Time
+	yielded := false
 	flush := func() bool {
 		if err := bw.Flush(); err != nil {
 			sc.die()
@@ -992,6 +1006,7 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 		}
 		lastFlush = time.Now()
 		sc.lastSend.Store(lastFlush.UnixNano())
+		yielded = false
 		return true
 	}
 	// fail counts the frames an encode/flush error strands (the current
@@ -1017,10 +1032,18 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 	for {
 		sc.mu.Lock()
 		if len(sc.queue) == 0 && !sc.dead && bw.Buffered() > 0 {
+			sc.mu.Unlock()
+			if !yielded {
+				// The Signal that woke this writer made it the next goroutine
+				// to run, ahead of the other dispatchers the same commit woke:
+				// flushing now would cost a write per watch at one P.
+				yielded = true
+				runtime.Gosched()
+				continue
+			}
 			// Queue drained: flush what the last rounds encoded before
 			// sleeping, so the tail of a burst is never held hostage by the
 			// linger.
-			sc.mu.Unlock()
 			if sc.writeTO > 0 {
 				sc.conn.SetWriteDeadline(time.Now().Add(sc.writeTO))
 			}
@@ -1054,7 +1077,16 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 			var err error
 			switch f.tag {
 			case tagEventBatch:
-				err = enc.eventBatch(f.id, *f.evs)
+				evs := f.evs
+				if prev != nil && sameRun(*prev, *evs) {
+					err = enc.eventRepeat(f.id)
+				} else if err = enc.eventBatch(f.id, *evs); err == nil {
+					// Keep the run just encoded; the frame recycles the old one.
+					prev, f.evs = evs, prev
+				}
+				if err == nil {
+					sc.met.events.Add(int64(len(*evs)))
+				}
 			case tagProgress:
 				err = enc.progress(f.id, f.prog)
 			case tagResync:
@@ -1073,10 +1105,7 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 				return
 			}
 			sc.met.frames.Inc()
-			switch f.tag {
-			case tagEventBatch:
-				sc.met.events.Add(int64(len(*f.evs)))
-			case tagSnapChunk:
+			if f.tag == tagSnapChunk {
 				sc.met.snapChunks.Inc()
 				sc.mu.Lock()
 				sc.chunkBytes -= f.chunkSize
@@ -1098,6 +1127,24 @@ func (sc *serverConn) writeLoop(hello *helloMsg) {
 			}
 		}
 	}
+}
+
+// sameRun reports whether b repeats a event for event. Watches with the same
+// range and position receive the same run, sharing the stored key and value
+// bytes, and string and byte comparisons return at once on a shared pointer,
+// so the check costs O(1) per event.
+func sameRun(a, b []core.ChangeEvent) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Key != y.Key || x.Version != y.Version || x.Mut.Op != y.Mut.Op || x.Trace != y.Trace ||
+			(x.Mut.Value == nil) != (y.Mut.Value == nil) || !bytes.Equal(x.Mut.Value, y.Mut.Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // ConnInfo is one connection's state, for the debug plane (debugz /conns).
@@ -1583,7 +1630,8 @@ func (c *Client) readLoop(cc *clientConn) {
 // readFrames decodes frames until the connection fails, returning the
 // failure. The event-batch decode target is persistent: its Evs backing
 // array is reused across batches (the decoder grows it only when a batch
-// exceeds the previous capacity, and zeroes recycled elements per frame).
+// exceeds the previous capacity, and zeroes recycled elements per frame),
+// and a repeat frame delivers it again to the watch the repeat names.
 // The stream must open with the server's hello.
 func (c *Client) readFrames(cc *clientConn) error {
 	dec := newBinDecoder(bufio.NewReaderSize(&countingReader{r: cc.conn, c: c.met.bytes}, connReadBuffer))
@@ -1632,6 +1680,13 @@ func (c *Client) readFrames(cc *clientConn) error {
 		case tagEventBatch:
 			if err := dec.decodeEventBatch(&batch); err != nil {
 				return fail("event batch", err)
+			}
+			c.met.frames.Inc()
+			c.met.events.Add(int64(len(batch.Evs)))
+			c.deliverBatch(&batch)
+		case tagEventRepeat:
+			if err := dec.decodeEventRepeat(&batch); err != nil {
+				return fail("event repeat", err)
 			}
 			c.met.frames.Inc()
 			c.met.events.Add(int64(len(batch.Evs)))

@@ -62,8 +62,8 @@ func guardRun(t *testing.T, tracer *unbundle.Tracer) float64 {
 
 // TestTracingOverheadGuard compares the disabled-tracer path against the
 // no-tracer path on the same machine in the same process, taking the best of
-// several interleaved rounds of each to shed scheduler noise. The 5% budget
-// matches the acceptance bar against the recorded BENCH_hub.json median.
+// several interleaved rounds of each to shed scheduler noise, against a 5%
+// budget.
 func TestTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("TRACE_GUARD") == "" {
 		t.Skip("set TRACE_GUARD=1 to run the tracing-overhead guard (see make traceguard)")
