@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ab chaos fuzz tracestress flakes traceguard recguard govguard detectors soak soak-short verify clean
+.PHONY: build test race vet ab chaos fuzz tracestress flakes detectors soak soak-short verify clean
 
 build:
 	$(GO) build ./...
@@ -83,25 +83,6 @@ flakes:
 	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E6$$' ./internal/experiments
 	$(GO) test -race -count=30 -run TestLagGaugesExcludeLaggedAndCancelledWatchers ./internal/core
 
-# traceguard pins the cost of the (disabled) causal tracer on the hot hub
-# append path: a hub built with a disabled tracer must stay within 5% of one
-# with no tracer at all. Benchmark-grade, so it is opt-in via TRACE_GUARD.
-traceguard:
-	TRACE_GUARD=1 $(GO) test -run TestTracingOverheadGuard -v -count=1 .
-
-# recguard is traceguard's flight-recorder twin: a hub with the always-on
-# recorder attached must run the hot append/fan-out workload within 5% of a
-# hub with no recorder. Benchmark-grade, so it is opt-in via REC_GUARD.
-recguard:
-	REC_GUARD=1 $(GO) test -run TestFlightRecorderOverheadGuard -v -count=1 .
-
-# govguard pins the cost of memory governance while under budget: a hub
-# charging into a governor it never pressures must run the hot append/fan-out
-# workload within 5% of an ungoverned hub. Benchmark-grade, opt-in via
-# GOV_GUARD.
-govguard:
-	GOV_GUARD=1 $(GO) test -run TestGovernorOverheadGuard -v -count=1 .
-
 # soak drives the full governed stack — MVCC store, hub, remote server, TCP,
 # reconnecting clients, ResyncWatchers — through an overload storm under the
 # race detector: stalled consumers, large values, every connection severed
@@ -122,15 +103,14 @@ detectors:
 	$(GO) test -race -count=1 ./internal/flightrec
 
 # verify is the gate a change must pass before it ships. The race target
-# includes the hub contract, stress, and latency-isolation tests; chaos is
-# the transport fault-injection suite (including the black-box dump e2e);
-# fuzz smoke-runs the wire-codec fuzzer against the golden corpus;
-# tracestress repeats the trace-stamp ordering subtest; flakes repeats E17
-# quick; detectors is the deterministic anomaly-detector suite; soak-short is
-# the CI-scale overload storm against the governed stack; traceguard, recguard
-# and govguard keep tracing, flight recording and idle governance free on the
-# hot path.
-verify: vet build race chaos fuzz tracestress flakes detectors soak-short traceguard recguard govguard
+# includes the hub contract, stress, and latency-isolation tests, and the
+# allocation pins that keep an idle tracer, recorder and governor free on the
+# hot path; chaos is the transport fault-injection suite (including the
+# black-box dump e2e); fuzz smoke-runs the wire-codec fuzzer against the
+# golden corpus; tracestress repeats the trace-stamp ordering subtest; flakes
+# repeats E17 quick; detectors is the deterministic anomaly-detector suite;
+# soak-short is the CI-scale overload storm against the governed stack.
+verify: vet build race chaos fuzz tracestress flakes detectors soak-short
 
 clean:
 	$(GO) clean ./...

@@ -99,75 +99,6 @@ func BenchmarkStoreSnapshotGet(b *testing.B) {
 	}
 }
 
-func BenchmarkHubAppendFanout8(b *testing.B) {
-	reg := unbundle.NewMetricsRegistry()
-	hub := unbundle.NewHub(unbundle.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20, Metrics: reg})
-	defer hub.Close()
-	var delivered atomic.Int64
-	for w := 0; w < 8; w++ {
-		lo := unbundle.Key(fmt.Sprintf("%d", w))
-		hi := unbundle.Key(fmt.Sprintf("%d", w+1))
-		cancel, err := hub.Watch(unbundle.Range{Low: lo, High: hi}, 0, unbundle.Callbacks{
-			Event: func(unbundle.ChangeEvent) { delivered.Add(1) },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cancel()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hub.Append(unbundle.ChangeEvent{
-			Key:     unbundle.Key(fmt.Sprintf("%d-key", i%8)),
-			Mut:     unbundle.Mutation{Op: unbundle.OpPut, Value: []byte("v")},
-			Version: unbundle.Version(i + 1),
-		})
-	}
-	b.StopTimer()
-	reportQuantiles(b, reg, "core_hub_append_latency_ns", "ns")
-	reportCounters(b, reg, hubCounters)
-}
-
-// BenchmarkHubAppendFanoutSharded is the multi-shard successor of
-// BenchmarkHubAppendFanout8 at equal watcher count: keys spread evenly over
-// the numeric domain so each of the hub's key-range shards (default
-// GOMAXPROCS) carries its own slice of the load, and appends to different
-// shards never contend.
-func BenchmarkHubAppendFanoutSharded(b *testing.B) {
-	reg := unbundle.NewMetricsRegistry()
-	hub := unbundle.NewHub(unbundle.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20, Metrics: reg})
-	defer hub.Close()
-	var delivered atomic.Int64
-	keys := make([]unbundle.Key, 8)
-	for w := 0; w < 8; w++ {
-		lo := unbundle.NumericKey(w * 1000)
-		hi := unbundle.NumericKey(w*1000 + 1000)
-		keys[w] = unbundle.NumericKey(w*1000 + 500)
-		cancel, err := hub.Watch(unbundle.Range{Low: lo, High: hi}, 0, unbundle.Callbacks{
-			Event: func(unbundle.ChangeEvent) { delivered.Add(1) },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cancel()
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var i int
-		for pb.Next() {
-			i++
-			hub.Append(unbundle.ChangeEvent{
-				Key:     keys[i%8],
-				Mut:     unbundle.Mutation{Op: unbundle.OpPut, Value: []byte("v")},
-				Version: unbundle.Version(i + 1),
-			})
-		}
-	})
-	b.StopTimer()
-	reportQuantiles(b, reg, "core_hub_append_latency_ns", "ns")
-	reportCounters(b, reg, hubCounters)
-}
-
 func BenchmarkWatchEndToEnd(b *testing.B) {
 	// Full pipeline: store commit → CDC → hub → watcher callback.
 	reg := unbundle.NewMetricsRegistry()

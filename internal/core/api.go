@@ -130,19 +130,19 @@ type WatchCallback interface {
 }
 
 // EventBatchCallback is an optional extension of WatchCallback. A callback
-// that also implements it receives each contiguous run of change events the
-// dispatcher drained from the watch queue as one OnEventBatch call instead of
-// one OnEvent call per event — the batch hand-off that lets a transport (the
-// remote server's connection outbox) move a whole ring-drain's worth of
-// events in one synchronized step. Semantics are otherwise identical to
-// per-event delivery: events arrive in enqueue order, per-key version order
-// holds within and across batches, and a progress announcement follows every
-// event it covers. The callee must not retain or mutate evs (or
-// the slice's backing array) after returning — a live drain's array is
-// reused by the dispatcher, and a catch-up replay's is a view of sealed
-// retention history shared read-only with every other replaying watcher;
-// the event *values* (including Mutation.Value bytes) may be retained as
-// usual.
+// that also implements it receives each dispatch's change events as one
+// OnEventBatch call instead of one OnEvent call per event — the batch
+// hand-off that lets a transport (the remote server's connection outbox)
+// move a whole dispatch's worth of events in one synchronized step.
+// Semantics are otherwise identical to per-event delivery: per-key version
+// order holds within and across batches, and a progress announcement
+// follows every event it covers. The callee must not retain or mutate evs
+// (or the slice's backing array) after returning: a live batch is either
+// the dispatcher's reused array or a view of retained segments — a watch
+// covering a whole hub shard reads that shard's log in place — and a
+// catch-up replay's is a view of sealed retention history; segment views
+// are shared read-only with every other watcher reading them. The event
+// *values* (including Mutation.Value bytes) may be retained as usual.
 type EventBatchCallback interface {
 	OnEventBatch(evs []ChangeEvent)
 }
@@ -212,6 +212,17 @@ type Ingester interface {
 	// Progress declares that every change below and at the given version for
 	// the given range has been appended.
 	Progress(p ProgressEvent) error
+}
+
+// FeedStart is an optional Ingester capability. A source attaching an
+// ingester to its change feed calls FeedStartsAfter with its current
+// version, under the lock that orders its commits: the ingester will receive
+// every change after v and none at or before it. An ingester that serves
+// history — the Hub — records v as the start of what it can replay, so a
+// watch from before v resyncs instead of receiving a stream with a silent
+// gap where the source's earlier history was.
+type FeedStart interface {
+	FeedStartsAfter(v Version)
 }
 
 // SingleIngester is the pre-batching store-facing contract: one event per

@@ -179,8 +179,9 @@ type HubStats struct {
 // slice of the retained window, the progress frontier, and the watcher
 // index, under its own lock. A key lives in exactly one shard, so per-key
 // version order survives sharding; a watcher spanning several shards
-// registers in each and funnels every shard's events through one queue
-// drained by one dispatch goroutine, so its callbacks stay serialized.
+// registers in each — reading the log of each shard it covers, fed through
+// its queue by the others — and one dispatch goroutine drains them all, so
+// its callbacks stay serialized.
 //
 // Lock order (outermost first): regMu, then shard locks in ascending shard
 // index, then watcher ring locks. Ingest paths (Append/AppendBatch/Progress)
@@ -242,10 +243,16 @@ type hubShard struct {
 	evicted  atomic.Uint64 // max version among evicted events (read cross-shard)
 	maxSeen  atomic.Uint64 // max version ever appended here (read cross-shard)
 	frontier VersionMap
-	watchers map[int64]*hubWatcher // watchers registered in this shard
-	index    watcherIndex          // shard-clipped range → watcher ids
+	watchers map[int64]*hubWatcher // ring watchers registered in this shard
+	index    watcherIndex          // shard-clipped range → ring watcher ids
+	// readers are the watchers covering the whole shard, which read the
+	// chain instead of a ring (reader.go).
+	readers []*reader
 
 	appends, evictions, delivered int64
+	// logLen is appends as of the last finished ingest call, published once
+	// per call for the lag checks and the radar to read without the lock.
+	logLen atomic.Int64
 }
 
 // tailLocked returns the shard's active tail segment, opening the chain's
@@ -259,6 +266,7 @@ func (s *hubShard) tailLocked(h *Hub) *segment {
 
 var (
 	_ Ingester  = (*Hub)(nil)
+	_ FeedStart = (*Hub)(nil)
 	_ Watchable = (*Hub)(nil)
 )
 
@@ -369,9 +377,10 @@ func (h *Hub) flushIngest(fx *ingestFx) {
 }
 
 // finishLagged removes lagged watchers from the shards the lag-out origin
-// could not touch (their locks were not held). Until this runs, stale index
-// entries are harmless: every fanout checks the watcher's lagged flag, and
-// the ring itself drops post-resync deliveries.
+// could not touch (their locks were not held), releasing their readers'
+// pins. Until this runs, stale index entries and readers are harmless: every
+// fanout, lag check and capture checks the watcher's lagged flag, and the
+// ring itself drops post-resync deliveries.
 func (h *Hub) finishLagged(fx *ingestFx) {
 	for _, ref := range fx.lagged {
 		for _, s := range h.shards {
@@ -384,6 +393,7 @@ func (h *Hub) finishLagged(fx *ingestFx) {
 			}
 			s.mu.Lock()
 			s.index.remove(ref.w.id, clip)
+			s.dropReaderLocked(h, ref.w)
 			s.mu.Unlock()
 		}
 	}
@@ -405,6 +415,7 @@ func (h *Hub) lagOutLocked(w *hubWatcher, origin *hubShard, reason string, tid t
 	h.met.resyncs.Inc()
 	if origin != nil {
 		origin.index.remove(w.id, w.rng.Intersect(origin.rng))
+		origin.dropReaderLocked(h, w)
 	}
 	min := h.minResyncVersion()
 	w.q.lagOut(ResyncEvent{Range: w.rng, MinVersion: min, Reason: reason})
@@ -453,8 +464,9 @@ func (s *hubShard) evictOneLocked(h *Hub, fx *ingestFx) int64 {
 // relieveEvict is the governor's first-rung reliever: accelerate retention
 // eviction down to the configured floor, shard by shard, until `need` bytes
 // are freed or every shard sits at its floor. Eviction never lags a live
-// watcher (fanout happens at append time); it only shortens the catch-up
-// window new watchers can replay.
+// watcher (a ring watcher got its copy at append time, and a reader pins
+// what it has not read); it only shortens the catch-up window new watchers
+// can replay.
 func (h *Hub) relieveEvict(need int64) int64 {
 	var freed int64
 	var fx ingestFx
@@ -484,7 +496,9 @@ func (h *Hub) relieveEvict(need int64) int64 {
 // pressure, lag out the watcher holding the largest undelivered backlog —
 // onto the ordinary resync path, so the cut is explicit and recoverable —
 // and quarantine it so a repeat offender waits out a jittered re-admit
-// delay before Watch lets it back in.
+// delay before Watch lets it back in. A watcher holds its ring's bytes plus,
+// per reader, its unread events at the shard's mean retained footprint: the
+// segments it pins.
 func (h *Hub) relieveShed(int64) int64 {
 	if h.gov.Pressure() < govern.Shed {
 		return 0 // eviction pressure only: watchers are not touched yet
@@ -494,13 +508,25 @@ func (h *Hub) relieveShed(int64) int64 {
 		h.regMu.Unlock()
 		return 0
 	}
+	mean := make([]int64, len(h.shards))
+	for i, s := range h.shards {
+		s.mu.Lock()
+		if s.count > 0 {
+			mean[i] = s.chargedBytes / int64(s.count)
+		}
+		s.mu.Unlock()
+	}
 	var worst *hubWatcher
 	var worstBytes int64
 	for _, w := range h.watchers {
 		if w.lagged.Load() {
 			continue
 		}
-		if b := w.q.held(); b > worstBytes {
+		b := w.q.held()
+		for _, r := range w.readers {
+			b += int64(r.unread()) * mean[r.s.idx]
+		}
+		if b > worstBytes {
 			worst, worstBytes = w, b
 		}
 	}
@@ -546,6 +572,7 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 		})
 		tail = h.segPool.get()
 		s.segs = append(s.segs, tail)
+		s.pinTailLocked(tail)
 	}
 	tail.push(ev)
 	s.count++
@@ -557,10 +584,16 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 	}
 	if ev.Trace != 0 {
 		h.tracer.Record(ev.Trace, trace.StageAppend)
+		if len(s.readers) > 0 {
+			// An event in the log is queued for every reader: stamp it
+			// before the publish that lets a dispatcher capture it.
+			h.tracer.Record(ev.Trace, trace.StageEnqueue)
+		}
 	}
 
-	// Fan out through the range index: only watchers covering the key are
-	// touched, so cost scales with interested watchers, not all watchers.
+	// Readers find the event in the chain. Fan out to ring watchers through
+	// the range index: only watchers covering the key are touched, so cost
+	// scales with interested watchers, not all watchers.
 	s.index.lookup(ev.Key, func(id int64) {
 		w := s.watchers[id]
 		if w == nil || w.lagged.Load() || ev.Version <= w.from {
@@ -595,6 +628,7 @@ func (h *Hub) Append(ev ChangeEvent) error {
 		return ErrClosed
 	}
 	s.appendLocked(h, ev, &fx)
+	s.publishLocked(h, &fx)
 	s.mu.Unlock()
 	h.finishLagged(&fx)
 	h.flushIngest(&fx)
@@ -625,6 +659,7 @@ func (h *Hub) AppendBatch(evs []ChangeEvent) error {
 		for i := range evs {
 			s.appendLocked(h, evs[i], &fx)
 		}
+		s.publishLocked(h, &fx)
 		s.mu.Unlock()
 	} else {
 		for _, s := range h.shards {
@@ -646,6 +681,7 @@ func (h *Hub) AppendBatch(evs []ChangeEvent) error {
 				s.appendLocked(h, evs[i], &fx)
 			}
 			if locked {
+				s.publishLocked(h, &fx)
 				s.mu.Unlock()
 			}
 		}
@@ -656,6 +692,19 @@ func (h *Hub) AppendBatch(evs []ChangeEvent) error {
 		h.met.appendLatency.ObserveDuration(time.Since(start))
 	}
 	return nil
+}
+
+// FeedStartsAfter implements FeedStart: a hub attached to a source already
+// at version v holds none of the history at or below v, so each shard's
+// eviction horizon rises to v and a watch from before it resyncs.
+func (h *Hub) FeedStartsAfter(v Version) {
+	for _, s := range h.shards {
+		s.mu.Lock()
+		if uint64(v) > s.evicted.Load() {
+			s.evicted.Store(uint64(v))
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Progress implements Ingester: the store confirms completeness of the event
@@ -687,6 +736,11 @@ func (h *Hub) Progress(p ProgressEvent) error {
 				w.q.wake()
 			}
 		})
+		for _, r := range s.readers {
+			if !r.w.lagged.Load() {
+				r.w.q.wake()
+			}
+		}
 		s.mu.Unlock()
 	}
 	h.progressCalls.Add(1)
@@ -727,6 +781,7 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 		return nil, ErrClosed
 	}
 	w := newHubWatcher(h, h.nextID, r, from, cb, h.cfg.WatcherBuffer)
+	w.newReaders(h.shards)
 	h.nextID++
 	h.watchers[w.id] = w
 
@@ -746,8 +801,13 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 			s.mu.Unlock()
 			break
 		}
-		s.index.add(w.id, clip)
-		s.watchers[w.id] = w
+		if clip == s.rng {
+			s.addReaderLocked(h, w)
+		} else {
+			s.index.add(w.id, clip)
+			s.watchers[w.id] = w
+			w.ringed = true
+		}
 		// Pin the shard's retention chain for off-lock replay (arrival order
 		// preserves per-key version order). The events are not copied here:
 		// the dispatch goroutine streams them straight out of the pinned
@@ -778,6 +838,10 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 	return func() { h.cancel(w) }, nil
 }
 
+// cancel stops the watcher's ring before it leaves any shard: a dispatcher
+// that found a reader already gone would capture nothing and could announce
+// a frontier over events it never delivered, while a stopped ring makes the
+// dispatcher skip both.
 func (h *Hub) cancel(w *hubWatcher) {
 	h.regMu.Lock()
 	delete(h.watchers, w.id)
@@ -785,6 +849,7 @@ func (h *Hub) cancel(w *hubWatcher) {
 	h.regMu.Unlock()
 	h.rec.Record(flightrec.KindWatcherRemove, flightrec.Event{Comp: "core.hub", ID: w.id})
 	h.log.Debug("watch cancelled", "id", w.id)
+	w.q.stop()
 	for _, s := range h.shards {
 		clip := w.rng.Intersect(s.rng)
 		if clip.Empty() {
@@ -793,9 +858,9 @@ func (h *Hub) cancel(w *hubWatcher) {
 		s.mu.Lock()
 		s.index.remove(w.id, clip)
 		delete(s.watchers, w.id)
+		s.dropReaderLocked(h, w)
 		s.mu.Unlock()
 	}
-	w.q.stop()
 }
 
 // Wipe discards the hub's entire soft state — retained events and frontier —
@@ -837,6 +902,7 @@ func (h *Hub) Wipe() {
 		h.met.resyncs.Inc()
 		for _, s := range h.shards {
 			s.index.remove(w.id, w.rng.Intersect(s.rng))
+			s.dropReaderLocked(h, w)
 		}
 		w.q.lagOut(ResyncEvent{Range: w.rng, MinVersion: min, Reason: "watch system state wiped"})
 	}
@@ -928,8 +994,9 @@ func (h *Hub) Close() {
 
 // hubWatcher is the per-watch delivery state. Callbacks run on a dedicated
 // goroutine so a slow consumer can never block the hub — it simply overflows
-// its own bounded ring and is resynced. One watcher spans any number of
-// shards; all of them feed the same ring, which serializes delivery.
+// its own bounded buffer and is resynced. One watcher spans any number of
+// shards: it reads each shard its range covers (reader.go), and every other
+// shard feeds its ring; one dispatch goroutine serializes delivery.
 type hubWatcher struct {
 	id   int64
 	hub  *Hub
@@ -940,6 +1007,14 @@ type hubWatcher struct {
 	// non-nil switches the dispatch loop to whole-batch event hand-off.
 	batchCB EventBatchCallback
 	q       *ring
+	// readers are the watcher's positions in the shards its range covers,
+	// fixed at registration; ringed reports that some other shard feeds q.
+	readers []*reader
+	ringed  bool
+	// caps and join are the dispatcher's reusable capture list and joined
+	// batch (see deliver). Owned by the dispatch goroutine.
+	caps []capture
+	join []ChangeEvent
 
 	// replay is the pinned retained-history snapshot assembled at
 	// registration: segment views this watcher's dispatch goroutine streams
@@ -975,14 +1050,15 @@ func newHubWatcher(h *Hub, id int64, r keyspace.Range, from Version, cb WatchCal
 }
 
 // run is the watcher's dispatch loop. Each round it clears the moved flag,
-// reads the frontier over its range, takes every queued event, delivers
-// them, and then announces the frontier segments that changed since the last
-// announcement. That order is what keeps progress truthful: an event the
-// frontier F covers was queued before F was raised, under the shard lock the
-// read takes, so it is in the take that follows the read and is delivered
-// before F is announced. Clearing the flag before the read loses no wake: a
-// raise the read missed sets the flag again. The queue highwater gauge is
-// published here, off the ingest path.
+// reads the frontier over its range, captures each reader's unread log,
+// takes every queued event, delivers them, and then announces the frontier
+// segments that changed since the last announcement. That order is what
+// keeps progress truthful: an event the frontier F covers was appended (and
+// queued, for a ring shard) before F was raised, under the shard lock the
+// read takes, so it is in the capture or take that follows the read and is
+// delivered before F is announced. Clearing the flag before the read loses
+// no wake: a raise or publish the read missed sets the flag again. The queue
+// highwater gauge is published here, off the ingest path.
 func (w *hubWatcher) run() {
 	// Stream the pinned retained-history snapshot first: the ring holds only
 	// live events enqueued after registration, so the catch-up prefix lands
@@ -992,11 +1068,15 @@ func (w *hubWatcher) run() {
 	for w.q.wait() {
 		w.q.moved.Store(false)
 		next := w.hub.frontierOver(w.rng, w.next[:0])
+		caps := w.captureAll(w.caps[:0])
 		evs, rs, high, open := w.q.take(spare)
 		if high > 0 {
 			w.hub.met.queueHighwater.Max(int64(high))
 		}
-		if !w.deliver(evs) {
+		ok := w.deliver(evs, caps)
+		releaseCaptures(w.hub, caps)
+		w.caps = caps[:0]
+		if !ok {
 			return
 		}
 		clear(evs) // release payload refs until the array is queued into again
@@ -1010,14 +1090,11 @@ func (w *hubWatcher) run() {
 	}
 }
 
-// deliver hands one taken run to the callback: whole to an
-// EventBatchCallback (the batch survives from ring to wire untouched),
-// otherwise one OnEvent at a time. It reports false once the watch is
-// cancelled.
-func (w *hubWatcher) deliver(evs []ChangeEvent) bool {
-	if w.q.isCancelled() {
-		return false
-	}
+// deliverRun hands one run to the callback: whole to an
+// EventBatchCallback (the batch survives from ring or segment to wire
+// untouched), otherwise one OnEvent at a time. It reports false once the
+// watch is cancelled.
+func (w *hubWatcher) deliverRun(evs []ChangeEvent) bool {
 	if len(evs) == 0 {
 		return true
 	}

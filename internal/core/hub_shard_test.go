@@ -359,40 +359,3 @@ func BenchmarkHubWatchReplay(b *testing.B) {
 	}
 	b.ReportMetric(float64(window), "events/replay")
 }
-
-// BenchmarkHubAppendBatch measures batched ingest against the same hub shape
-// as BenchmarkHubAppendFanout8 upstream: one lock round-trip per shard per
-// batch instead of per event.
-func BenchmarkHubAppendBatch(b *testing.B) {
-	h := NewHub(HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20})
-	defer h.Close()
-	var delivered atomic.Int64
-	for w := 0; w < 8; w++ {
-		lo := keyspace.NumericKey(w * 1000)
-		hi := keyspace.NumericKey(w*1000 + 1000)
-		cancel, err := h.Watch(keyspace.Range{Low: lo, High: hi}, 0, Funcs{
-			Event: func(ChangeEvent) { delivered.Add(1) },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cancel()
-	}
-	const batchSize = 64
-	batch := make([]ChangeEvent, batchSize)
-	var version Version
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batchSize {
-		for j := 0; j < batchSize; j++ {
-			version++
-			batch[j] = ChangeEvent{
-				Key:     keyspace.NumericKey((int(version) % 8) * 1000),
-				Mut:     Mutation{Op: OpPut, Value: []byte("v")},
-				Version: version,
-			}
-		}
-		if err := h.AppendBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

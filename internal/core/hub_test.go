@@ -584,35 +584,6 @@ func BenchmarkHubRetentionAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkHubWatcherCount measures fanout cost as watcher count grows —
-// the scale dimension §4.4 says watch systems should be optimized per
-// deployment ("different watch systems optimized for different scale
-// points").
-func BenchmarkHubWatcherCount(b *testing.B) {
-	for _, watchers := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("watchers=%d", watchers), func(b *testing.B) {
-			h := NewHub(HubConfig{Retention: 1 << 12, WatcherBuffer: 1 << 20})
-			defer h.Close()
-			shards := keyspace.EvenSplit(watchers*100, watchers)
-			for _, shard := range shards {
-				cancel, err := h.Watch(shard, NoVersion, Funcs{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cancel()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Append(ChangeEvent{
-					Key:     keyspace.NumericKey(i % (watchers * 100)),
-					Mut:     Mutation{Op: OpPut},
-					Version: Version(i + 1),
-				})
-			}
-		})
-	}
-}
-
 // Regression: Hub.Watch used to ignore enqueue overflow during the
 // retained-window replay, so a watcher whose replay exceeded WatcherBuffer
 // silently lost change events — the "third outcome" the contract forbids.

@@ -40,7 +40,8 @@ type WatcherLag struct {
 	// watcher's current position; 0 when caught up or when no checkpoint
 	// brackets the position (e.g. progress-free workloads).
 	TimeBehind time.Duration `json:"time_behind_ns"`
-	// QueueDepth is the watcher's undelivered queue length right now.
+	// QueueDepth is the watcher's undelivered event count right now: its
+	// ring's depth plus its readers' unread events.
 	QueueDepth int `json:"queue_depth"`
 	// Delivered counts change events dispatched to the callback so far.
 	Delivered int64 `json:"delivered"`
@@ -135,7 +136,7 @@ func (h *Hub) WatcherLags() []WatcherLag {
 			From:       w.from,
 			LastSeen:   Version(last),
 			Frontier:   Version(frontier),
-			QueueDepth: w.q.depth(),
+			QueueDepth: w.q.depth() + w.unread(),
 			Delivered:  w.nDelivered.Load(),
 			Lagged:     w.lagged.Load(),
 		}

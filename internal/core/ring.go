@@ -99,12 +99,18 @@ func (r *ring) enqueue(ev ChangeEvent) bool {
 
 // wake tells the dispatcher the frontier moved. It is idempotent: a set flag
 // costs one atomic load, and only the call that sets it takes the lock.
-func (r *ring) wake() {
+func (r *ring) wake() { r.raise(1) }
+
+// nudge is wake for a reader whose shard log grew: the dispatcher has
+// something to capture, but nothing reached the ring, so it is not a touch.
+func (r *ring) nudge() { r.raise(0) }
+
+func (r *ring) raise(touch uint64) {
 	if r.moved.Load() || !r.moved.CompareAndSwap(false, true) {
 		return
 	}
 	r.mu.Lock()
-	r.touched++
+	r.touched += touch
 	r.cond.Signal()
 	r.mu.Unlock()
 }
@@ -146,8 +152,9 @@ func (r *ring) stop() {
 // isCancelled is the lock-free mid-dispatch check.
 func (r *ring) isCancelled() bool { return r.cancelled.Load() }
 
-// wait blocks until there are events to take, a resync to deliver or a
-// frontier move to announce. It reports false once the ring is cancelled.
+// wait blocks until there are events to take, a resync to deliver, a
+// frontier move to announce or a reader's log to capture. It reports false
+// once the ring is cancelled.
 func (r *ring) wait() bool {
 	r.mu.Lock()
 	for len(r.evs) == 0 && r.resync == nil && !r.moved.Load() && r.state != ringCancelled {

@@ -28,6 +28,10 @@ type Env struct {
 	// KeyOf maps a delivered event back to the logical key given to Put
 	// (identity for KV stores; series extraction for ingestion stores).
 	KeyOf func(ev core.ChangeEvent) keyspace.Key
+	// Restart builds a second watch system over the same store, attached
+	// now — a watch system restarted beneath its consumers — and returns it.
+	// Close releases it too.
+	Restart func() core.Watchable
 	// Close releases the system.
 	Close func()
 }
@@ -47,6 +51,7 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run(name+"/CancelStopsDelivery", func(t *testing.T) { runCancel(t, factory) })
 	t.Run(name+"/WatchValidation", func(t *testing.T) { runValidation(t, factory) })
 	t.Run(name+"/TracedStagesComplete", func(t *testing.T) { runTracing(t, factory) })
+	t.Run(name+"/LateAttachResumeResyncs", func(t *testing.T) { runLateAttach(t, factory) })
 }
 
 func bigHub() core.HubConfig {
@@ -363,5 +368,41 @@ func runValidation(t *testing.T, factory Factory) {
 	}
 	if _, err := env.Watch.Watch(keyspace.Range{}, core.NoVersion, core.Funcs{}); err == nil {
 		t.Fatal("empty range accepted")
+	}
+}
+
+// runLateAttach asserts that a watch system attached to a store with history
+// knows it lacks that history: a resume from before the attach resyncs,
+// before any event, instead of streaming what follows the attach and
+// announcing a frontier over versions it never saw.
+func runLateAttach(t *testing.T, factory Factory) {
+	env := factory(bigHub())
+	defer env.Close()
+	var from core.Version
+	for i := 1; i <= 10; i++ {
+		v := env.Put(keyspace.Key(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		if i == 5 {
+			from = v
+		}
+	}
+	w := env.Restart()
+	var mu sync.Mutex
+	var log []string
+	note := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
+	cancel, err := w.Watch(keyspace.Full(), from, core.Funcs{
+		Event:    func(ev core.ChangeEvent) { note(fmt.Sprintf("event %q@%v", string(ev.Key), ev.Version)) },
+		Progress: func(p core.ProgressEvent) { note(fmt.Sprintf("progress %v", p.Version)) },
+		Resync:   func(core.ResyncEvent) { note("resync") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	env.Put("k11", []byte{11})
+	wait(t, "a callback", func() bool { mu.Lock(); defer mu.Unlock(); return len(log) > 0 })
+	mu.Lock()
+	defer mu.Unlock()
+	if log[0] != "resync" {
+		t.Fatalf("resume from %v on a watch system attached after it: got %v, want a resync first", from, log)
 	}
 }

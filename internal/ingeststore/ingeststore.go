@@ -162,10 +162,15 @@ type tapEntry struct {
 	ing core.Ingester
 }
 
-// AttachIngester feeds all future events (and progress) into ing.
+// AttachIngester feeds all future events (and progress) into ing. An ing
+// that implements core.FeedStart is told the last assigned sequence number
+// first, under the lock that assigns them.
 func (s *Store) AttachIngester(ing core.Ingester) (detach func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if fs, ok := ing.(core.FeedStart); ok {
+		fs.FeedStartsAfter(s.seq)
+	}
 	id := s.nextID
 	s.nextID++
 	s.taps = append(s.taps, tapEntry{id: id, ing: ing})

@@ -272,10 +272,15 @@ func (s *Store) EmitProgress(r keyspace.Range) {
 // AttachCDC registers ing to receive all future change events for keys in r,
 // with a progress event after each commit. It returns a detach function.
 // This is the producer-store half of Figure 4: the store conveys its change
-// feed into an external watch system through the Ingester contract.
+// feed into an external watch system through the Ingester contract. An ing
+// that implements core.FeedStart is told the current version first, under
+// the commit lock, so it knows which history it will never see.
 func (s *Store) AttachCDC(r keyspace.Range, ing core.Ingester) (detach func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if fs, ok := ing.(core.FeedStart); ok {
+		fs.FeedStartsAfter(s.version)
+	}
 	id := 0
 	if n := len(s.taps); n > 0 {
 		id = s.taps[n-1].id + 1

@@ -106,6 +106,13 @@ func (t transformIngester) Progress(p core.ProgressEvent) error {
 	return t.ing.Progress(p)
 }
 
+// FeedStartsAfter passes the feed's start on to an ingester that wants it.
+func (t transformIngester) FeedStartsAfter(v core.Version) {
+	if fs, ok := t.ing.(core.FeedStart); ok {
+		fs.FeedStartsAfter(v)
+	}
+}
+
 // WatchableStore bundles a Store with a built-in watch hub: the Figure 3
 // "producer storage with built-in watch" quadrant (Spanner change streams,
 // the Kubernetes API server over etcd). It implements both core.Watchable

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -198,5 +199,65 @@ func TestCommitAllocatesWhatItStores(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, commit); n != 2*perTxn {
 		t.Fatalf("an %d-key commit allocated %v objects, want %d", perTxn, n, 2*perTxn)
+	}
+}
+
+// TestLateAttachedHubResyncsAResume: a hub attached to a store already at
+// version 10 holds none of versions 1–10. A watch from 5 must resync; before
+// the store announced where its feed starts, it received k11@11 and a
+// frontier at 11 — a claim that it was complete through versions it never
+// saw. The store, a plain view and a transforming view each announce it.
+func TestLateAttachedHubResyncsAResume(t *testing.T) {
+	attachers := map[string]func(*Store, core.Ingester) func(){
+		"store": func(s *Store, ing core.Ingester) func() { return s.AttachCDC(keyspace.Full(), ing) },
+		"view": func(s *Store, ing core.Ingester) func() {
+			return NewView(s, keyspace.Full(), nil).AttachCDC(ing)
+		},
+		"transforming view": func(s *Store, ing core.Ingester) func() {
+			return NewView(s, keyspace.Full(), func(e core.Entry) (core.Entry, bool) { return e, true }).AttachCDC(ing)
+		},
+	}
+	for name, attach := range attachers {
+		t.Run(name, func(t *testing.T) {
+			s := NewStore()
+			for i := 1; i <= 10; i++ {
+				s.Put(keyspace.Key(fmt.Sprintf("k%d", i)), []byte("v"))
+			}
+			h := core.NewHub(core.HubConfig{Metrics: metrics.NewRegistry()})
+			defer h.Close()
+			defer attach(s, h)()
+			var mu sync.Mutex
+			var log []string
+			note := func(format string, args ...any) {
+				mu.Lock()
+				log = append(log, fmt.Sprintf(format, args...))
+				mu.Unlock()
+			}
+			cancel, err := h.Watch(keyspace.Full(), 5, core.Funcs{
+				Event:    func(ev core.ChangeEvent) { note("event %s@%d", ev.Key, ev.Version) },
+				Progress: func(p core.ProgressEvent) { note("progress %d", p.Version) },
+				Resync:   func(r core.ResyncEvent) { note("resync %d", r.MinVersion) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+			s.Put("k11", []byte("v"))
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				mu.Lock()
+				n := len(log)
+				mu.Unlock()
+				if n > 0 || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(log) == 0 || log[0] != "resync 10" {
+				t.Fatalf("watch from v5 on a hub attached at v10 got %v, want a resync at 10 first", log)
+			}
+		})
 	}
 }

@@ -26,11 +26,30 @@ func TestConformanceOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var restarted []func()
 		return coretest.Env{
 			Watch: client,
 			Put:   func(k keyspace.Key, v []byte) core.Version { return ws.Put(k, v) },
 			KeyOf: func(ev core.ChangeEvent) keyspace.Key { return ev.Key },
+			// A restarted server: a new hub over the same store, served anew.
+			Restart: func() core.Watchable {
+				hub := core.NewHub(cfg)
+				detach := ws.Store.AttachCDC(keyspace.Full(), hub)
+				srv, err := Serve("127.0.0.1:0", hub, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				client, err := Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				restarted = append(restarted, client.Close, srv.Close, detach, hub.Close)
+				return client
+			},
 			Close: func() {
+				for _, c := range restarted {
+					c()
+				}
 				client.Close()
 				srv.Close()
 				ws.Close()
