@@ -1,17 +1,14 @@
-// Benchmarks: one testing.B target per reproduced figure/claim (the E1–E11
-// index in DESIGN.md), each running the corresponding experiment driver and
-// failing if any of its shape checks fail — so `go test -bench=.` both times
-// and re-verifies the whole reproduction — plus microbenchmarks of the
-// public API's hot paths.
+// Microbenchmarks of the public API's hot paths that no `go run ./bench`
+// layer metric reports. The experiments' shape checks run in
+// TestAllExperimentsQuick, and the end-to-end pipeline is the bench
+// harness's own.
 package unbundle_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"unbundle"
-	"unbundle/internal/experiments"
 )
 
 // reportQuantiles attaches a registry histogram's p50/p99 to the benchmark
@@ -27,54 +24,6 @@ func reportQuantiles(b *testing.B, reg *unbundle.MetricsRegistry, hist, unit str
 	b.ReportMetric(float64(h.P50), "p50-"+unit)
 	b.ReportMetric(float64(h.P99), "p99-"+unit)
 }
-
-// reportCounters attaches registry counters to the benchmark output under
-// "ctr-<name>" units, so each timing line carries the behaviour totals
-// (delivered, resyncs, overflow drops) it was measured under.
-func reportCounters(b *testing.B, reg *unbundle.MetricsRegistry, counters map[string]string) {
-	b.Helper()
-	snap := reg.Snapshot()
-	for name, counter := range counters {
-		b.ReportMetric(float64(snap.Counters[counter]), "ctr-"+name)
-	}
-}
-
-// hubCounters names the hub totals every hub benchmark reports.
-var hubCounters = map[string]string{
-	"delivered": "core_hub_delivered_total",
-	"resyncs":   "core_hub_resyncs_total",
-	"overflow":  "core_hub_append_overflow_total",
-}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(experiments.Options{Quick: true, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if failed := res.Failed(); len(failed) > 0 {
-			b.Fatalf("%s: %d checks failed, first: %s — %s", id, len(failed), failed[0].Name, failed[0].Detail)
-		}
-	}
-}
-
-func BenchmarkE1PubsubBaseline(b *testing.B)   { benchExperiment(b, "E1") }
-func BenchmarkE2RetentionLoss(b *testing.B)    { benchExperiment(b, "E2") }
-func BenchmarkE3CompactionLoss(b *testing.B)   { benchExperiment(b, "E3") }
-func BenchmarkE4CatchUp(b *testing.B)          { benchExperiment(b, "E4") }
-func BenchmarkE5Replication(b *testing.B)      { benchExperiment(b, "E5") }
-func BenchmarkE6InvalidationRace(b *testing.B) { benchExperiment(b, "E6") }
-func BenchmarkE7IngestFanout(b *testing.B)     { benchExperiment(b, "E7") }
-func BenchmarkE8WorkQueue(b *testing.B)        { benchExperiment(b, "E8") }
-func BenchmarkE9KnowledgeStitch(b *testing.B)  { benchExperiment(b, "E9") }
-func BenchmarkE10Efficiency(b *testing.B)      { benchExperiment(b, "E10") }
-func BenchmarkE11Quadrants(b *testing.B)       { benchExperiment(b, "E11") }
-func BenchmarkE12RemoteTransport(b *testing.B) { benchExperiment(b, "E12") }
 
 // --- public-API microbenchmarks ---
 
@@ -97,35 +46,6 @@ func BenchmarkStoreSnapshotGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		store.Get(unbundle.Key(fmt.Sprintf("key-%06d", i%10000)), at)
 	}
-}
-
-func BenchmarkWatchEndToEnd(b *testing.B) {
-	// Full pipeline: store commit → CDC → hub → watcher callback.
-	reg := unbundle.NewMetricsRegistry()
-	store := unbundle.NewWatchableStore(unbundle.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20, Metrics: reg})
-	defer store.Close()
-	done := make(chan struct{}, 1)
-	var want atomic.Int64
-	cancel, err := store.Watch(unbundle.FullRange(), 0, unbundle.Callbacks{
-		Event: func(ev unbundle.ChangeEvent) {
-			if int64(ev.Version) == want.Load() {
-				done <- struct{}{}
-			}
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cancel()
-	b.ResetTimer()
-	want.Store(int64(b.N))
-	for i := 0; i < b.N; i++ {
-		store.Put("key", []byte("value"))
-	}
-	<-done // delivery of the final event bounds the pipeline latency
-	b.StopTimer()
-	reportQuantiles(b, reg, "core_hub_append_latency_ns", "ns")
-	reportCounters(b, reg, hubCounters)
 }
 
 func BenchmarkBrokerPublish(b *testing.B) {

@@ -359,8 +359,11 @@ func TestWatchPodPrune(t *testing.T) {
 	c.Update(x, []byte("v2"))
 	c.Update(x, []byte("v3"))
 	pod := c.Pods()["p0"]
-	waitUntil(t, "v3 arrives", func() bool {
-		v, _, ok, served := pod.GetLatest(x)
+	// The premise is that version 3 is inside the pod's knowledge window,
+	// not merely that v3 arrived: progress can trail the event, and pruning
+	// below 3 then rightly drops a window that does not reach 3.
+	waitUntil(t, "v3 servable at version 3", func() bool {
+		v, ok, served := pod.GetAt(x, 3)
 		return ok && served && string(v) == "v3"
 	})
 	pod.PruneBelow(keyspace.Full(), 3)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"unbundle/internal/flightrec"
 	"unbundle/internal/govern"
 	"unbundle/internal/keyspace"
-	"unbundle/internal/logz"
 	"unbundle/internal/metrics"
 	"unbundle/internal/trace"
 )
@@ -43,9 +41,9 @@ type HubConfig struct {
 	// (retained window, frontier, watcher index) is partitioned into. Appends
 	// to disjoint ranges never contend: each shard has its own lock. Shard
 	// boundaries follow keyspace.EvenSplit over the numeric key domain, the
-	// same convention the auto-sharder and ShardedHub use. Default
-	// GOMAXPROCS; reproduction experiments that depend on a single global
-	// eviction window pin Shards to 1.
+	// same convention the auto-sharder uses. Default GOMAXPROCS;
+	// reproduction experiments that depend on a single global eviction
+	// window pin Shards to 1.
 	Shards int
 	// Metrics is the registry the hub's instruments register in; nil uses
 	// metrics.Default().
@@ -61,13 +59,10 @@ type HubConfig struct {
 	Tracer *trace.Tracer
 	// Recorder, when non-nil, receives flight-recorder records for the
 	// hub's rare lifecycle events: watcher add/remove/lag-out, segment
-	// seal/retire, state wipes. The hot append/deliver paths record
-	// nothing per event, so the always-on cost is one branch at each
-	// already-rare transition; nil disables recording entirely.
+	// seal/retire, state wipes, refused admissions. The hot append/deliver
+	// paths record nothing per event, so the always-on cost is one branch
+	// at each already-rare transition; nil disables recording entirely.
 	Recorder *flightrec.Recorder
-	// Log receives structured records for the same lifecycle transitions;
-	// nil uses the process-wide logz ring under component "core.hub".
-	Log *slog.Logger
 	// Governor, when non-nil, bounds the hub's soft state in bytes: retained
 	// segments charge the "hub" account and watcher rings the "rings"
 	// account, the hub registers its degradation relievers (accelerated
@@ -192,7 +187,6 @@ type Hub struct {
 	clock  clockwork.Clock
 	tracer *trace.Tracer
 	rec    *flightrec.Recorder
-	log    *slog.Logger
 
 	// verTimes maps versions to the wall-clock instant the hub's frontier
 	// first passed them — the substrate for time-behind-frontier lag.
@@ -277,17 +271,12 @@ func NewHub(cfg HubConfig) *Hub {
 	if clock == nil {
 		clock = clockwork.Real()
 	}
-	log := cfg.Log
-	if log == nil {
-		log = logz.Logger("core.hub")
-	}
 	h := &Hub{
 		cfg:      cfg,
 		met:      newHubMetrics(cfg.Metrics),
 		clock:    clock,
 		tracer:   cfg.Tracer,
 		rec:      cfg.Recorder,
-		log:      log,
 		watchers: make(map[int64]*hubWatcher),
 		segPool:  segPool{size: segSizeFor(cfg.Retention)},
 	}
@@ -423,7 +412,6 @@ func (h *Hub) lagOutLocked(w *hubWatcher, origin *hubShard, reason string, tid t
 	h.rec.Record(flightrec.KindWatcherLagOut, flightrec.Event{
 		Comp: "core.hub", ID: w.id, Version: uint64(min), Trace: tid, Detail: reason,
 	})
-	h.log.Warn("watcher lagged out", "id", w.id, "reason", reason, "min_version", uint64(min), "trace", tid)
 }
 
 // evictOneLocked trims the shard's oldest retained event, dropping the
@@ -772,7 +760,9 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 	// fails fast with a typed, retryable govern.Overloaded instead of
 	// growing a ring the governor would immediately shed.
 	if err := h.gov.Admit(r.String()); err != nil {
-		h.log.Warn("watch admission refused", "range", r.String(), "err", err)
+		h.rec.Record(flightrec.KindWatchRefused, flightrec.Event{
+			Comp: "core.hub", Detail: r.String() + ": " + err.Error(),
+		})
 		return nil, err
 	}
 	h.regMu.Lock()
@@ -832,7 +822,6 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 	h.rec.Record(flightrec.KindWatcherAdd, flightrec.Event{
 		Comp: "core.hub", ID: w.id, Version: uint64(from), Detail: r.String(),
 	})
-	h.log.Debug("watch registered", "id", w.id, "range", r.String(), "from", uint64(from))
 
 	go w.run()
 	return func() { h.cancel(w) }, nil
@@ -848,7 +837,6 @@ func (h *Hub) cancel(w *hubWatcher) {
 	h.met.watchers.Set(int64(len(h.watchers)))
 	h.regMu.Unlock()
 	h.rec.Record(flightrec.KindWatcherRemove, flightrec.Event{Comp: "core.hub", ID: w.id})
-	h.log.Debug("watch cancelled", "id", w.id)
 	w.q.stop()
 	for _, s := range h.shards {
 		clip := w.rng.Intersect(s.rng)
@@ -913,7 +901,6 @@ func (h *Hub) Wipe() {
 	h.rec.Record(flightrec.KindHubWipe, flightrec.Event{
 		Comp: "core.hub", Version: uint64(min), N: int64(len(h.watchers)),
 	})
-	h.log.Warn("hub state wiped", "watchers", len(h.watchers), "min_version", uint64(min))
 }
 
 // Frontier returns a copy of the current progress frontier, merged across

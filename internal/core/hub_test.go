@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"unbundle/internal/flightrec"
+	"unbundle/internal/govern"
 	"unbundle/internal/keyspace"
 	"unbundle/internal/metrics"
 )
@@ -559,31 +562,6 @@ func TestHubConcurrentStress(t *testing.T) {
 	}
 }
 
-// BenchmarkHubRetentionAblation quantifies the soft-state design choice
-// DESIGN.md calls out: the retention window is the hub's entire memory
-// footprint and its only per-append maintenance cost. The bench measures
-// append cost across window sizes (the functional effect of small windows —
-// resyncs for late/lagging watchers — is covered by the E2/E3 experiments
-// and the hub eviction tests).
-func BenchmarkHubRetentionAblation(b *testing.B) {
-	for _, retention := range []int{256, 1024, 4096, 16384} {
-		b.Run(fmt.Sprintf("retention=%d", retention), func(b *testing.B) {
-			h := NewHub(HubConfig{Retention: retention, WatcherBuffer: 1 << 20})
-			defer h.Close()
-			cancel, err := h.Watch(keyspace.Full(), NoVersion, Funcs{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cancel()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Append(put("k", Version(i+1)))
-			}
-			b.ReportMetric(float64(h.Stats().RetainedEvents), "retained-events")
-		})
-	}
-}
-
 // Regression: Hub.Watch used to ignore enqueue overflow during the
 // retained-window replay, so a watcher whose replay exceeded WatcherBuffer
 // silently lost change events — the "third outcome" the contract forbids.
@@ -899,5 +877,33 @@ func TestWatcherBatchDispatch(t *testing.T) {
 		if sink.eventsAt[i] < int(p.Version) {
 			t.Fatalf("progress through %v announced after only %d events", p.Version, sink.eventsAt[i])
 		}
+	}
+}
+
+// TestHubRefusedWatchIsRecorded: a Watch refused under Reject pressure
+// leaves exactly one watch-refused record naming the range, and no
+// watcher-add.
+func TestHubRefusedWatchIsRecorded(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rec := flightrec.New(flightrec.Config{Metrics: reg})
+	gov := govern.NewGovernor(govern.Config{Budget: 1 << 20, Metrics: reg})
+	defer gov.Close()
+	h := NewHub(HubConfig{Shards: 1, Metrics: reg, Recorder: rec, Governor: gov})
+	defer h.Close()
+	gov.Account("test").Charge(1 << 20) // straight to Reject
+	if _, err := h.Watch(keyspace.Prefix("a/"), NoVersion, &collector{}); !errors.Is(err, govern.ErrOverloaded) {
+		t.Fatalf("Watch under Reject = %v, want ErrOverloaded", err)
+	}
+	var refused []flightrec.Record
+	for _, r := range rec.Tail(0) {
+		switch r.Kind {
+		case flightrec.KindWatchRefused:
+			refused = append(refused, r)
+		case flightrec.KindWatcherAdd:
+			t.Fatalf("refused watch recorded a watcher-add: %+v", r)
+		}
+	}
+	if len(refused) != 1 || refused[0].Comp != "core.hub" || !strings.Contains(refused[0].Detail, keyspace.Prefix("a/").String()) {
+		t.Fatalf("watch-refused records = %+v, want one from core.hub naming the range", refused)
 	}
 }

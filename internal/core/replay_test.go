@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"unbundle/internal/keyspace"
 	"unbundle/internal/metrics"
@@ -284,71 +281,3 @@ func TestHubReplayTraceStage(t *testing.T) {
 		}
 	}
 }
-
-// stormSink counts deliveries with the batch fast path, the shape a remote
-// connection's sink has.
-type stormSink struct{ n *atomic.Int64 }
-
-func (s stormSink) OnEvent(ChangeEvent) { s.n.Add(1) }
-func (s stormSink) OnEventBatch(evs []ChangeEvent) {
-	s.n.Add(int64(len(evs)))
-}
-func (s stormSink) OnProgress(ProgressEvent) {}
-func (s stormSink) OnResync(r ResyncEvent) {
-	panic("resume storm: unexpected resync: " + r.Reason)
-}
-
-// benchHubResumeStorm measures a reconnect storm: `watchers` full-range
-// watchers resume at once, each with the same 1024-event backlog cut, the
-// shape a network blip leaves behind (PR 5's auto-reconnect turns one sever
-// into exactly this). Registration is O(segments) under each shard lock and
-// the streams run on the watchers' own goroutines, so per-watcher cost
-// should stay flat as the storm grows — that is what ns/watcher tracks.
-func benchHubResumeStorm(b *testing.B, watchers int) {
-	const window = 1 << 13
-	const backlog = 1024
-	h := NewHub(HubConfig{Retention: window, WatcherBuffer: window, Shards: 4, Metrics: metrics.NewRegistry()})
-	defer h.Close()
-	val := []byte("0123456789abcdef")
-	for i := 1; i <= window; i++ {
-		h.Append(ChangeEvent{
-			Key:     keyspace.NumericKey(i % 4000),
-			Mut:     Mutation{Op: OpPut, Value: val},
-			Version: Version(i),
-		})
-	}
-	from := Version(window - backlog)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		var seen atomic.Int64
-		cancels := make([]Cancel, watchers)
-		var wg sync.WaitGroup
-		for wi := range cancels {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				cancel, err := h.Watch(keyspace.Full(), from, stormSink{n: &seen})
-				if err != nil {
-					panic(err)
-				}
-				cancels[wi] = cancel
-			}(wi)
-		}
-		wg.Wait()
-		target := int64(watchers) * backlog
-		for seen.Load() < target {
-			time.Sleep(20 * time.Microsecond)
-		}
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*watchers), "ns/watcher")
-	b.ReportMetric(backlog, "events/watcher")
-}
-
-func BenchmarkHubResumeStorm64(b *testing.B)  { benchHubResumeStorm(b, 64) }
-func BenchmarkHubResumeStorm256(b *testing.B) { benchHubResumeStorm(b, 256) }
-func BenchmarkHubResumeStorm512(b *testing.B) { benchHubResumeStorm(b, 512) }

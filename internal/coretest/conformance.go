@@ -40,18 +40,37 @@ type Env struct {
 // Retention values must translate into eviction behaviour (resyncs).
 type Factory func(hubCfg core.HubConfig) Env
 
-// Run exercises the Watchable contract against the factory.
+// Run exercises the Watchable contract against the factory. Every row runs
+// twice, as subtests shards=1 and shards=4 of the hub's internal sharding,
+// whatever the host's GOMAXPROCS.
 func Run(t *testing.T, name string, factory Factory) {
 	t.Helper()
-	t.Run(name+"/DeliversInPerKeyOrder", func(t *testing.T) { runOrder(t, factory) })
-	t.Run(name+"/RangeFiltering", func(t *testing.T) { runRangeFilter(t, factory) })
-	t.Run(name+"/ProgressReachesSourceVersion", func(t *testing.T) { runProgress(t, factory) })
-	t.Run(name+"/ProgressNeverAheadOfEvents", func(t *testing.T) { runProgressOrder(t, factory) })
-	t.Run(name+"/ResyncOnEvictedHistory", func(t *testing.T) { runResync(t, factory) })
-	t.Run(name+"/CancelStopsDelivery", func(t *testing.T) { runCancel(t, factory) })
-	t.Run(name+"/WatchValidation", func(t *testing.T) { runValidation(t, factory) })
-	t.Run(name+"/TracedStagesComplete", func(t *testing.T) { runTracing(t, factory) })
-	t.Run(name+"/LateAttachResumeResyncs", func(t *testing.T) { runLateAttach(t, factory) })
+	rows := []struct {
+		name string
+		run  func(*testing.T, Factory)
+	}{
+		{"DeliversInPerKeyOrder", runOrder},
+		{"RangeFiltering", runRangeFilter},
+		{"ProgressReachesSourceVersion", runProgress},
+		{"ProgressNeverAheadOfEvents", runProgressOrder},
+		{"ResyncOnEvictedHistory", runResync},
+		{"CancelStopsDelivery", runCancel},
+		{"WatchValidation", runValidation},
+		{"TracedStagesComplete", runTracing},
+		{"LateAttachResumeResyncs", runLateAttach},
+	}
+	for _, row := range rows {
+		t.Run(name+"/"+row.name, func(t *testing.T) {
+			for _, shards := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					row.run(t, func(cfg core.HubConfig) Env {
+						cfg.Shards = shards
+						return factory(cfg)
+					})
+				})
+			}
+		})
+	}
 }
 
 func bigHub() core.HubConfig {

@@ -22,7 +22,6 @@ import (
 	"unbundle/internal/core"
 	"unbundle/internal/flightrec"
 	"unbundle/internal/govern"
-	"unbundle/internal/logz"
 	"unbundle/internal/metrics"
 	"unbundle/internal/remote"
 	"unbundle/internal/trace"
@@ -47,15 +46,13 @@ type Config struct {
 	// connections with their watch count, queued backlog and drain state;
 	// typically remote.Server.Conns.
 	RemoteConns func() []remote.ConnInfo
-	// Flight backs GET /flightrec — the live flight-recorder ring, newest
-	// tail first-served (?n= bounds the tail, default 256).
+	// Flight backs GET /flightrec — the live flight-recorder ring, oldest
+	// first (?n= bounds the common records' tail, default 256; every rare
+	// record still held is served besides).
 	Flight *flightrec.Recorder
 	// Dumps backs GET /dump — captured black-box dumps: the index without an
 	// id, one full dump with ?id=N.
 	Dumps *flightrec.Capturer
-	// Logs backs GET /logz — the retained log ring, oldest first; nil uses
-	// the process-wide ring.
-	Logs func() []logz.Entry
 	// Govern backs GET /govern (the memory governor's budget, per-account
 	// usage, pressure level and shed/reject counters) and turns GET /healthz
 	// into a load-bearing probe: 503 while the governor is shedding or
@@ -113,9 +110,8 @@ func Handler(cfg Config) http.Handler {
 			"/traces   completed event traces, newest first (JSON)\n"+
 			"/regions  consumer knowledge regions (JSON)\n"+
 			"/conns    remote watch server connections (JSON)\n"+
-			"/flightrec flight-recorder tail, oldest first (JSON, ?n= bounds)\n"+
+			"/flightrec flight-recorder tail, oldest first (JSON, ?n= bounds; rare records kept)\n"+
 			"/dump     black-box dump index; ?id=N serves one full dump (JSON)\n"+
-			"/logz     retained log ring, oldest first (JSON)\n"+
 			"/govern   memory governor budget, accounts and pressure (JSON)\n"+
 			"/healthz  liveness probe: 503 while shedding under memory pressure\n"+
 			"/debug/pprof/ runtime profiles\n")
@@ -227,18 +223,6 @@ func Handler(cfg Config) http.Handler {
 					Records: len(d.Records), Traces: len(d.Traces), File: d.File,
 				})
 			}
-		}
-		writeJSON(w, out)
-	})
-
-	mux.HandleFunc("/logz", func(w http.ResponseWriter, r *http.Request) {
-		logs := cfg.Logs
-		if logs == nil {
-			logs = logz.Default().Records
-		}
-		out := logs()
-		if out == nil {
-			out = []logz.Entry{}
 		}
 		writeJSON(w, out)
 	})

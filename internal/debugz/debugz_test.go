@@ -29,12 +29,14 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 func TestEndpointsWithNilSources(t *testing.T) {
 	h := Handler(Config{Metrics: metrics.NewRegistry()})
 	for path, wantType := range map[string]string{
-		"/":         "text/plain",
-		"/metrics":  "text/plain",
-		"/watchers": "application/json",
-		"/traces":   "application/json",
-		"/regions":  "application/json",
-		"/conns":    "application/json",
+		"/":          "text/plain",
+		"/metrics":   "text/plain",
+		"/watchers":  "application/json",
+		"/traces":    "application/json",
+		"/regions":   "application/json",
+		"/conns":     "application/json",
+		"/flightrec": "application/json",
+		"/dump":      "application/json",
 	} {
 		rec := get(t, h, path)
 		if rec.Code != 200 {
@@ -45,7 +47,7 @@ func TestEndpointsWithNilSources(t *testing.T) {
 		}
 	}
 	// JSON endpoints with no sources serve empty arrays, not null.
-	for _, path := range []string{"/watchers", "/traces", "/regions", "/conns"} {
+	for _, path := range []string{"/watchers", "/traces", "/regions", "/conns", "/flightrec", "/dump"} {
 		var v []json.RawMessage
 		if err := json.Unmarshal(get(t, h, path).Body.Bytes(), &v); err != nil {
 			t.Fatalf("GET %s: invalid JSON: %v", path, err)
@@ -54,8 +56,11 @@ func TestEndpointsWithNilSources(t *testing.T) {
 			t.Fatalf("GET %s returned null, want []", path)
 		}
 	}
-	if rec := get(t, h, "/nope"); rec.Code != 404 {
-		t.Fatalf("GET /nope = %d, want 404", rec.Code)
+	// Lifecycle transitions are served by /flightrec alone; there is no /logz.
+	for _, path := range []string{"/nope", "/logz"} {
+		if rec := get(t, h, path); rec.Code != 404 {
+			t.Fatalf("GET %s = %d, want 404", path, rec.Code)
+		}
 	}
 	if rec := get(t, h, "/debug/pprof/"); rec.Code != 200 {
 		t.Fatalf("GET /debug/pprof/ = %d", rec.Code)

@@ -21,6 +21,9 @@
 //     routing, sharder range moves. These are rare events (never per-append,
 //     never per-delivery), so a short critical section per record is cheap;
 //     a nil *Recorder costs one branch, the same discipline as trace.Tracer.
+//     The causes an autopsy needs (lag-outs, wipes, connection loss,
+//     pressure, GC drops) go to one more ring of their own, so a storm of
+//     watcher churn cannot overwrite them.
 //  2. Detection (detect.go): detectors evaluated on clockwork ticks against
 //     EWMA baselines, with hysteresis so steady-state noise never fires.
 //  3. Capture (capture.go): on trigger, atomically assemble a dump — the
@@ -59,7 +62,7 @@ const (
 
 	// Remote transport, server side.
 	KindRemoteConnect    // server accepted a connection (ID = conn id)
-	KindRemoteDisconnect // connection died (Detail = cause)
+	KindRemoteDisconnect // connection died (Detail = cause; server: N = queued events dropped), or a client terminated (N = watches resynced)
 	KindRemoteOverflow   // server outbox overflow, watches resynced (N = watches)
 	KindRemoteDrain      // graceful drain began
 
@@ -77,7 +80,10 @@ const (
 	KindRangeMove // key range reassigned to another pod
 
 	// Memory governor.
-	KindMemoryPressure // pressure level rose, or a watcher was shed+quarantined (N = used bytes / strikes)
+	KindMemoryPressure // pressure level changed, or a watcher was shed+quarantined (N = used bytes / strikes)
+
+	// Admission control, hub or client side.
+	KindWatchRefused // watch refused under overload (Detail = cause; client: ID = watch id, N = backoff ms)
 )
 
 var kindNames = [...]string{
@@ -100,6 +106,23 @@ var kindNames = [...]string{
 	KindNackDrop:         "nack-drop",
 	KindRangeMove:        "range-move",
 	KindMemoryPressure:   "memory-pressure",
+	KindWatchRefused:     "watch-refused",
+}
+
+// rareKinds are the kinds kept in the recorder's own rare ring: the causes an
+// autopsy needs, which a storm of watcher churn and segment seals would
+// otherwise overwrite within microseconds.
+var rareKinds = [len(kindNames)]bool{
+	KindWatcherLagOut:    true,
+	KindHubWipe:          true,
+	KindRemoteConnect:    true,
+	KindRemoteDisconnect: true,
+	KindRemoteOverflow:   true,
+	KindRemoteDrain:      true,
+	KindHeartbeatMiss:    true,
+	KindRemoteReconnect:  true,
+	KindMemoryPressure:   true,
+	KindGCDrop:           true,
 }
 
 // String returns the kind's wire name.
@@ -164,8 +187,9 @@ type Config struct {
 	// Shards is the ring count; records are spread round-robin so concurrent
 	// recorders rarely contend on one mutex. Default 4.
 	Shards int
-	// PerShard is each ring's capacity in records. Total memory is
-	// Shards×PerShard×sizeof(Record), fixed at construction. Default 512.
+	// PerShard is each ring's capacity in records, the rare ring's
+	// included. Total memory is (Shards+1)×PerShard×sizeof(Record), fixed
+	// at construction. Default 512.
 	PerShard int
 	// Clock stamps records; nil uses the real clock.
 	Clock clockwork.Clock
@@ -178,9 +202,12 @@ type Config struct {
 // a possibly-nil *Recorder and calls it unconditionally — the disabled
 // configuration costs one branch per (already rare) lifecycle event.
 type Recorder struct {
-	clock    clockwork.Clock
-	seq      atomic.Uint64
-	shards   []recShard
+	clock  clockwork.Clock
+	seq    atomic.Uint64
+	shards []recShard
+	// rare holds only rareKinds, so the cause of a storm outlives the
+	// storm's own records in shards.
+	rare     recShard
 	recorded *metrics.Counter
 }
 
@@ -211,6 +238,7 @@ func New(cfg Config) *Recorder {
 	for i := range r.shards {
 		r.shards[i].buf = make([]Record, cfg.PerShard)
 	}
+	r.rare.buf = make([]Record, cfg.PerShard)
 	return r
 }
 
@@ -226,6 +254,9 @@ func (r *Recorder) Record(k Kind, e Event) {
 	seq := r.seq.Add(1)
 	at := r.clock.Now().UnixNano()
 	s := &r.shards[seq%uint64(len(r.shards))]
+	if int(k) < len(rareKinds) && rareKinds[k] {
+		s = &r.rare
+	}
 	s.mu.Lock()
 	s.buf[s.n%uint64(len(s.buf))] = Record{Seq: seq, At: at, Kind: k, Event: e}
 	s.n++
@@ -233,31 +264,46 @@ func (r *Recorder) Record(k Kind, e Event) {
 	r.recorded.Inc()
 }
 
-// Tail returns up to n of the most recent records, ascending by sequence
-// number — the merged timeline across every shard ring. n <= 0 returns the
-// whole live window. The slice is a copy.
+// Tail returns up to n of the most recent records of the common kinds plus
+// every rare record still held, ascending by sequence number — the merged
+// timeline across every ring. n <= 0 returns the whole live window. The
+// slice is a copy.
 func (r *Recorder) Tail(n int) []Record {
 	if r == nil {
 		return nil
 	}
 	var out []Record
 	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		window := s.n
-		if window > uint64(len(s.buf)) {
-			window = uint64(len(s.buf))
-		}
-		for j := s.n - window; j < s.n; j++ {
-			out = append(out, s.buf[j%uint64(len(s.buf))])
-		}
-		s.mu.Unlock()
+		out = r.shards[i].appendTo(out)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sortBySeq(out)
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
+	out = r.rare.appendTo(out)
+	sortBySeq(out)
 	return out
+}
+
+func sortBySeq(rs []Record) {
+	sort.Slice(rs, func(i, j int) bool { return rs[i].Seq < rs[j].Seq })
+}
+
+// appendTo appends the ring's live window to out, oldest write first.
+func (s *recShard) appendTo(out []Record) []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for j := s.n - min(s.n, uint64(len(s.buf))); j < s.n; j++ {
+		out = append(out, s.buf[j%uint64(len(s.buf))])
+	}
+	return out
+}
+
+// held returns how many records the ring holds.
+func (s *recShard) held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(min(s.n, uint64(len(s.buf))))
 }
 
 // Len returns how many records are currently held across the rings.
@@ -265,16 +311,9 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	total := 0
+	total := r.rare.held()
 	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		window := s.n
-		if window > uint64(len(s.buf)) {
-			window = uint64(len(s.buf))
-		}
-		total += int(window)
-		s.mu.Unlock()
+		total += r.shards[i].held()
 	}
 	return total
 }

@@ -61,6 +61,40 @@ func TestRecorderTailOrderedAndBounded(t *testing.T) {
 	}
 }
 
+// TestRareRecordsSurviveAStorm: a lag-out recorded before a storm of
+// 11,000 watcher-churn and segment-seal records — five times what the
+// common rings hold — is still in the tail afterwards, in sequence order
+// with the storm's newest records.
+func TestRareRecordsSurviveAStorm(t *testing.T) {
+	r := New(Config{Metrics: metrics.NewRegistry()})
+	r.Record(KindWatcherLagOut, Event{Comp: "core.hub", ID: 7, Detail: "watcher buffer overflow"})
+	for i := 0; i < 10000; i++ {
+		k := KindWatcherAdd
+		if i%2 == 1 {
+			k = KindWatcherRemove
+		}
+		r.Record(k, Event{Comp: "core.hub", ID: int64(i)})
+	}
+	for i := 0; i < 1000; i++ {
+		r.Record(KindSegmentSeal, Event{Comp: "core.hub", N: int64(i)})
+	}
+	tail := r.Tail(256)
+	if len(tail) != 257 {
+		t.Fatalf("Tail(256) = %d records, want the 256 newest plus the lag-out", len(tail))
+	}
+	if first := tail[0]; first.Kind != KindWatcherLagOut || first.Seq != 1 || first.ID != 7 {
+		t.Fatalf("tail starts with %+v, want the lag-out at seq 1", first)
+	}
+	for i := 1; i < len(tail); i++ {
+		if tail[i].Seq <= tail[i-1].Seq {
+			t.Fatalf("tail not ascending at %d: %d then %d", i, tail[i-1].Seq, tail[i].Seq)
+		}
+	}
+	if last := tail[len(tail)-1]; last.Seq != r.Recorded() {
+		t.Fatalf("tail ends at seq %d, want the newest %d", last.Seq, r.Recorded())
+	}
+}
+
 func TestRecorderConcurrent(t *testing.T) {
 	r := New(Config{Metrics: metrics.NewRegistry()})
 	var wg sync.WaitGroup
@@ -69,7 +103,14 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Record(KindWatcherAdd, Event{ID: int64(g)})
+				k := KindWatcherAdd
+				if i%8 == 0 {
+					k = KindRemoteDisconnect // the rare ring, written concurrently too
+				}
+				r.Record(k, Event{ID: int64(g)})
+				if g == 0 {
+					r.Tail(16)
+				}
 			}
 		}(g)
 	}
@@ -80,7 +121,7 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 func TestKindRoundTrip(t *testing.T) {
-	for k := KindUnknown; k <= KindRangeMove; k++ {
+	for k := KindUnknown; int(k) < len(kindNames); k++ {
 		b, err := k.MarshalText()
 		if err != nil {
 			t.Fatal(err)

@@ -30,7 +30,6 @@ package govern
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"sort"
 	"sync"
@@ -39,7 +38,6 @@ import (
 
 	"unbundle/internal/clockwork"
 	"unbundle/internal/flightrec"
-	"unbundle/internal/logz"
 	"unbundle/internal/metrics"
 )
 
@@ -118,9 +116,6 @@ type Config struct {
 	Recorder *flightrec.Recorder
 	// Clock drives quarantine expiry; nil uses the real clock.
 	Clock clockwork.Clock
-	// Log receives structured records for transitions; nil uses the
-	// process-wide logz ring under component "govern".
-	Log *slog.Logger
 }
 
 type governMetrics struct {
@@ -141,7 +136,6 @@ type Governor struct {
 	met   governMetrics
 	clock clockwork.Clock
 	rec   *flightrec.Recorder
-	log   *slog.Logger
 
 	evictAt, shedAt, rejectAt int64
 
@@ -214,16 +208,11 @@ func NewGovernor(cfg Config) *Governor {
 	if clk == nil {
 		clk = clockwork.Real()
 	}
-	log := cfg.Log
-	if log == nil {
-		log = logz.Logger("govern")
-	}
 	reg := cfg.Metrics.Or()
 	g := &Governor{
 		cfg:      cfg,
 		clock:    clk,
 		rec:      cfg.Recorder,
-		log:      log,
 		evictAt:  int64(float64(cfg.Budget) * cfg.EvictFrac),
 		shedAt:   int64(float64(cfg.Budget) * cfg.ShedFrac),
 		rejectAt: int64(float64(cfg.Budget) * cfg.RejectFrac),
@@ -340,19 +329,12 @@ func (g *Governor) transition(old, lvl Pressure) {
 	// excursion shorter than any poll interval still counts.
 	g.met.peak.Max(int64(lvl))
 	g.met.transitions.Inc()
-	if lvl > old {
-		used := g.used.Load()
-		g.rec.Record(flightrec.KindMemoryPressure, flightrec.Event{
-			Comp:   "govern",
-			N:      used,
-			Detail: fmt.Sprintf("pressure %s -> %s (%d/%d bytes)", old, lvl, used, g.cfg.Budget),
-		})
-		g.log.Warn("memory pressure rising",
-			"from", old.String(), "to", lvl.String(),
-			"used", used, "budget", g.cfg.Budget)
-	} else {
-		g.log.Info("memory pressure easing", "from", old.String(), "to", lvl.String())
-	}
+	used := g.used.Load()
+	g.rec.Record(flightrec.KindMemoryPressure, flightrec.Event{
+		Comp:   "govern",
+		N:      used,
+		Detail: fmt.Sprintf("pressure %s -> %s (%d/%d bytes)", old, lvl, used, g.cfg.Budget),
+	})
 }
 
 // Pressure reports the current degradation level. Nil-safe (Steady).

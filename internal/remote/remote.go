@@ -64,7 +64,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net"
 	"os"
@@ -78,7 +77,6 @@ import (
 	"unbundle/internal/flightrec"
 	"unbundle/internal/govern"
 	"unbundle/internal/keyspace"
-	"unbundle/internal/logz"
 	"unbundle/internal/metrics"
 	"unbundle/internal/trace"
 )
@@ -248,9 +246,6 @@ type ServerConfig struct {
 	// accept, heartbeat miss, overflow, drain, disconnect. Nil disables
 	// recording; the per-frame paths never record either way.
 	Recorder *flightrec.Recorder
-	// Log receives structured records for the same transitions; nil uses
-	// the process-wide logz ring under component "remote.server".
-	Log *slog.Logger
 	// Governor, when non-nil, puts the server under the process memory
 	// governor: outbound connection queues are charged to its "remote"
 	// account, and snapshot requests are admission-controlled — refused with
@@ -267,7 +262,6 @@ type Server struct {
 	ln         net.Listener
 	tracer     *trace.Tracer
 	rec        *flightrec.Recorder
-	log        *slog.Logger
 	hbInterval time.Duration
 	writeTO    time.Duration
 	gov        *govern.Governor
@@ -302,17 +296,12 @@ func ServeWith(addr string, watch core.Watchable, snap core.Snapshotter, cfg Ser
 	if wto == 0 {
 		wto = defaultWriteTimeout
 	}
-	log := cfg.Log
-	if log == nil {
-		log = logz.Logger("remote.server")
-	}
 	s := &Server{
 		watch:      watch,
 		snap:       snap,
 		ln:         ln,
 		tracer:     cfg.Tracer,
 		rec:        cfg.Recorder,
-		log:        log,
 		hbInterval: hb,
 		writeTO:    wto,
 		conns:      make(map[*serverConn]struct{}),
@@ -347,7 +336,6 @@ func (s *Server) acceptLoop() {
 			met:     s.met,
 			tracer:  s.tracer,
 			rec:     s.rec,
-			log:     s.log,
 			writeTO: s.writeTO,
 			acct:    s.acct,
 			done:    make(chan struct{}),
@@ -419,7 +407,6 @@ type serverConn struct {
 	met     serverMetrics
 	tracer  *trace.Tracer
 	rec     *flightrec.Recorder
-	log     *slog.Logger
 	writeTO time.Duration
 	acct    *govern.Account // governor's "remote" account; nil when ungoverned
 
@@ -449,7 +436,6 @@ func (s *Server) serveConn(sc *serverConn) {
 	s.met.conns.Inc()
 	peer := sc.conn.RemoteAddr().String()
 	s.rec.Record(flightrec.KindRemoteConnect, flightrec.Event{Comp: "remote.server", ID: sc.id, Detail: peer})
-	s.log.Info("connection accepted", "conn", sc.id, "peer", peer)
 
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -487,7 +473,6 @@ func (s *Server) serveConn(sc *serverConn) {
 				s.rec.Record(flightrec.KindHeartbeatMiss, flightrec.Event{
 					Comp: "remote.server", ID: sc.id, Detail: "peer silent past heartbeat deadline",
 				})
-				s.log.Warn("heartbeat missed: peer silent", "conn", sc.id)
 			} else if !connLossErr(err) {
 				s.met.decodeErrs.Inc()
 				readErr = &ProtocolError{Op: "tag", Err: err}
@@ -551,7 +536,6 @@ func (s *Server) serveConn(sc *serverConn) {
 	s.rec.Record(flightrec.KindRemoteDisconnect, flightrec.Event{
 		Comp: "remote.server", ID: sc.id, N: drops, Detail: cause,
 	})
-	s.log.Info("connection closed", "conn", sc.id, "drops", drops, "cause", cause)
 }
 
 // readTimeoutFor sizes a read deadline from the peer's announced heartbeat
@@ -782,9 +766,6 @@ func (sc *serverConn) overflowLocked() {
 	sc.rec.Record(flightrec.KindRemoteOverflow, flightrec.Event{
 		Comp: "remote.server", ID: sc.id, N: int64(len(sc.watches)), Detail: "outbound buffer overflow",
 	})
-	if sc.log != nil { // tests build bare serverConns without a logger
-		sc.log.Warn("outbound buffer overflow, resyncing watches", "conn", sc.id, "watches", len(sc.watches))
-	}
 	kept := make([]outFrame, 0, len(sc.watches)+4)
 	for id, w := range sc.watches {
 		kept = append(kept, outFrame{tag: tagResync, id: id, resync: core.ResyncEvent{
@@ -969,9 +950,6 @@ func (sc *serverConn) beginDrain(reason string) {
 	sc.rec.Record(flightrec.KindRemoteDrain, flightrec.Event{
 		Comp: "remote.server", ID: sc.id, N: int64(n), Detail: reason,
 	})
-	if sc.log != nil { // tests build bare serverConns without a logger
-		sc.log.Info("connection draining", "conn", sc.id, "watches", n, "reason", reason)
-	}
 }
 
 // writeLoop opens the stream with the server's hello, then drains the outbox
@@ -1354,12 +1332,9 @@ type ClientConfig struct {
 	// invoked again on every reconnect attempt.
 	Dialer func(addr string) (net.Conn, error)
 	// Recorder, when non-nil, flight-records the client's connection
-	// lifecycle: connect, heartbeat miss, disconnect, reconnect, and each
-	// watch resumed. Nil disables recording.
+	// lifecycle: connect, heartbeat miss, disconnect, reconnect, each watch
+	// resumed or refused, and termination. Nil disables recording.
 	Recorder *flightrec.Recorder
-	// Log receives structured records for the same transitions; nil uses
-	// the process-wide logz ring under component "remote.client".
-	Log *slog.Logger
 }
 
 // snapResult resolves one in-flight snapshot request.
@@ -1432,7 +1407,6 @@ type Client struct {
 	met    clientMetrics
 	tracer *trace.Tracer
 	rec    *flightrec.Recorder
-	log    *slog.Logger
 	hbIv   time.Duration // negative: send no heartbeats
 	policy ReconnectPolicy
 	dialer func(addr string) (net.Conn, error)
@@ -1483,16 +1457,11 @@ func DialWith(addr string, cfg ClientConfig) (*Client, error) {
 		seed = time.Now().UnixNano()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	log := cfg.Log
-	if log == nil {
-		log = logz.Logger("remote.client")
-	}
 	c := &Client{
 		addr:      addr,
 		met:       newClientMetrics(cfg.Metrics),
 		tracer:    cfg.Tracer,
 		rec:       cfg.Recorder,
-		log:       log,
 		hbIv:      hb,
 		policy:    cfg.Reconnect.withDefaults(),
 		dialer:    dialer,
@@ -1520,7 +1489,6 @@ func DialWith(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	c.startConn(cc)
 	c.rec.Record(flightrec.KindRemoteConnect, flightrec.Event{Comp: "remote.client", ID: int64(cc.gen), Detail: addr})
-	c.log.Info("connected", "addr", addr, "gen", cc.gen)
 	return c, nil
 }
 
@@ -1828,8 +1796,9 @@ func (c *Client) handleOverloaded(m *overloadedMsg) {
 	// Extra jitter on top of the server's (already jittered) hint, from the
 	// global source: c.jitter belongs to the reconnect loop's goroutine.
 	wait := retry + time.Duration(rand.Int63n(int64(retry)/4+1))
-	c.log.Warn("watch refused: server overloaded, backing off",
-		"id", m.ID, "reason", m.Reason, "retry_in", wait)
+	c.rec.Record(flightrec.KindWatchRefused, flightrec.Event{
+		Comp: "remote.client", ID: int64(m.ID), N: wait.Milliseconds(), Detail: m.Reason,
+	})
 	time.AfterFunc(wait, func() { c.retryWatch(w) })
 }
 
@@ -1878,7 +1847,6 @@ func (c *Client) connFailed(cc *clientConn, err error) {
 		c.rec.Record(flightrec.KindHeartbeatMiss, flightrec.Event{
 			Comp: "remote.client", ID: int64(cc.gen), Detail: "server silent past heartbeat deadline",
 		})
-		c.log.Warn("heartbeat missed: server silent", "gen", cc.gen)
 	}
 	cause := ""
 	if err != nil {
@@ -1887,7 +1855,6 @@ func (c *Client) connFailed(cc *clientConn, err error) {
 	c.rec.Record(flightrec.KindRemoteDisconnect, flightrec.Event{
 		Comp: "remote.client", ID: int64(cc.gen), Detail: cause,
 	})
-	c.log.Warn("connection lost", "gen", cc.gen, "cause", cause, "reconnect", reconnect)
 	switch {
 	case closed:
 		c.terminate("remote: client closed", ErrClientClosed)
@@ -1935,7 +1902,9 @@ func (c *Client) terminate(reason string, err error) {
 	if len(watches) > 0 {
 		c.met.resyncs.Add(int64(len(watches)))
 	}
-	c.log.Warn("client terminated", "reason", reason, "watches", len(watches))
+	c.rec.Record(flightrec.KindRemoteDisconnect, flightrec.Event{
+		Comp: "remote.client", N: int64(len(watches)), Detail: reason,
+	})
 	for _, w := range watches {
 		w.cb.OnResync(core.ResyncEvent{Range: w.rng, Reason: reason})
 	}
@@ -2047,7 +2016,6 @@ func (c *Client) resume(gen int, conn net.Conn) error {
 	c.rec.Record(flightrec.KindRemoteReconnect, flightrec.Event{
 		Comp: "remote.client", ID: int64(cc.gen), N: int64(len(watches)),
 	})
-	c.log.Info("reconnected", "gen", cc.gen, "watches_resumed", len(watches), "snapshots_restarted", len(snaps))
 	c.startConn(cc)
 	return nil
 }

@@ -272,45 +272,3 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
-
-func BenchmarkRemoteEventThroughput(b *testing.B) {
-	ws := mvcc.NewWatchableStore(core.HubConfig{Retention: 1 << 16, WatcherBuffer: 1 << 20})
-	defer ws.Close()
-	srv, err := Serve("127.0.0.1:0", ws, ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-
-	// The producer keeps a bounded number of events in flight; otherwise the
-	// server's bounded outbound queue (correctly) lags the client out with a
-	// resync, and there would be no steady-state throughput to measure.
-	const outstanding = 1024
-	sem := make(chan struct{}, outstanding)
-	cancel, err := client.Watch(keyspace.Full(), core.NoVersion, core.Funcs{
-		Event: func(core.ChangeEvent) { <-sem },
-		Resync: func(r core.ResyncEvent) {
-			panic("remote bench: unexpected resync: " + r.Reason)
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cancel()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sem <- struct{}{}
-		ws.Put("key", []byte("0123456789abcdef"))
-	}
-	// Drain: wall time includes full wire delivery of b.N events.
-	for i := 0; i < outstanding; i++ {
-		sem <- struct{}{}
-	}
-	b.StopTimer()
-}

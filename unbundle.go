@@ -30,15 +30,12 @@
 package unbundle
 
 import (
-	"log/slog"
-
 	"unbundle/internal/core"
 	"unbundle/internal/debugz"
 	"unbundle/internal/flightrec"
 	"unbundle/internal/govern"
 	"unbundle/internal/ingeststore"
 	"unbundle/internal/keyspace"
-	"unbundle/internal/logz"
 	"unbundle/internal/metrics"
 	"unbundle/internal/mvcc"
 	"unbundle/internal/pubsub"
@@ -67,8 +64,7 @@ func PrefixRange(p Key) Range { return keyspace.Prefix(p) }
 func PointRange(k Key) Range { return keyspace.Point(k) }
 
 // NumericKey formats n as a fixed-width ordered key — the numeric-domain
-// convention shard boundaries (Hub shards, ShardedHub, Sharder) are aligned
-// to.
+// convention shard boundaries (Hub shards, Sharder) are aligned to.
 func NumericKey(n int) Key { return keyspace.NumericKey(n) }
 
 // NumericRange returns the range [NumericKey(lo), NumericKey(hi)).
@@ -229,12 +225,8 @@ func NewSharder(cfg SharderConfig, pods ...Pod) *Sharder {
 	return sharder.New(cfg, pods...)
 }
 
-// §5 extensions: the scaled-out standalone watch system and the remote
-// watch protocol.
+// §5 extension: the remote watch protocol.
 type (
-	// ShardedHub is a watch system scaled out over range-partitioned Hub
-	// shards, behind the same Ingester/Watchable contracts.
-	ShardedHub = core.ShardedHub
 	// WatchServer exposes a Watchable + Snapshotter on a TCP listener.
 	WatchServer = remote.Server
 	// WatchClient implements Watchable + Snapshotter against a WatchServer.
@@ -252,11 +244,6 @@ type (
 	// the debug server's /conns endpoint).
 	WatchConnInfo = remote.ConnInfo
 )
-
-// NewShardedHub creates a watch system of n range-partitioned shards.
-func NewShardedHub(n int, cfg HubConfig) *ShardedHub {
-	return core.NewShardedHub(n, cfg)
-}
 
 // ServeWatch exposes a watch system and its recovery snapshot view on addr
 // (e.g. "127.0.0.1:0").
@@ -428,22 +415,3 @@ var ErrOverloaded = govern.ErrOverloaded
 // NewGovernor creates a memory governor with the given budget and starts its
 // relief goroutine; Close stops it.
 func NewGovernor(cfg GovernorConfig) *Governor { return govern.NewGovernor(cfg) }
-
-// Structured logging (see internal/logz): component-tagged slog.Loggers
-// writing into a bounded in-memory ring served at the debug server's /logz.
-type (
-	// LogRing is a bounded log-record buffer behind a slog.Handler.
-	LogRing = logz.Ring
-	// LogEntry is one retained log record.
-	LogEntry = logz.Entry
-)
-
-// NewLogRing creates a log ring retaining the last capacity records.
-func NewLogRing(capacity int) *LogRing { return logz.NewRing(capacity) }
-
-// DefaultLogRing returns the process-wide log ring components fall back to.
-func DefaultLogRing() *LogRing { return logz.Default() }
-
-// ComponentLogger returns a component-tagged slog.Logger on the process-wide
-// log ring.
-func ComponentLogger(component string) *slog.Logger { return logz.Logger(component) }

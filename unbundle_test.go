@@ -166,24 +166,6 @@ func (m *mapConsumer) len() int {
 }
 
 func TestPublicAPIExtensions(t *testing.T) {
-	// Sharded hub behind the same contracts.
-	sh := unbundle.NewShardedHub(4, unbundle.HubConfig{})
-	defer sh.Close()
-	got := make(chan unbundle.ChangeEvent, 1)
-	cancel, err := sh.Watch(unbundle.FullRange(), unbundle.NoVersion, unbundle.Callbacks{
-		Event: func(ev unbundle.ChangeEvent) { got <- ev },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	sh.Append(unbundle.ChangeEvent{Key: "k", Mut: unbundle.Mutation{Op: unbundle.OpPut}, Version: 1})
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sharded hub event not delivered")
-	}
-
 	// Remote watch over TCP through the facade.
 	store := unbundle.NewWatchableStore(unbundle.HubConfig{})
 	defer store.Close()
