@@ -57,14 +57,16 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaosPartitionProducesRetrievableDump' ./internal/debugz
 	$(GO) test -race -count=1 -run 'TestAllExperimentsQuick/(E13|E15|E17)' ./internal/experiments
 
-# fuzz smoke-runs the wire-codec fuzzer: FuzzDecodeFrame drives the binary
-# frame decoder with mutations of the golden fixtures for a bounded wall
-# time. Long exploratory runs use `go test -fuzz` directly; this target is
-# the regression gate.
+# fuzz smoke-runs two fuzzers for a bounded wall time each: FuzzDecodeFrame
+# drives the binary frame decoder with mutations of the golden fixtures, and
+# FuzzIndexMatchesModel drives the store's B+tree index against a sorted-map
+# model from the quick-check's cases. Long exploratory runs use `go test
+# -fuzz` directly; this target is the regression gate.
 FUZZ_TIME ?= 10s
 
 fuzz:
 	$(GO) test -run XXX -fuzz FuzzDecodeFrame -fuzztime $(FUZZ_TIME) ./internal/remote
+	$(GO) test -run XXX -fuzz FuzzIndexMatchesModel -fuzztime $(FUZZ_TIME) ./internal/mvcc
 
 # tracestress hammers the one conformance subtest whose failure mode is a
 # lost race between a trace stamp and the dispatch goroutine: every completed
@@ -109,8 +111,8 @@ detectors:
 # includes the hub contract, stress, and latency-isolation tests, and the
 # allocation pins that keep an idle tracer, recorder and governor free on the
 # hot path; chaos is the transport fault-injection suite (including the
-# black-box dump e2e); fuzz smoke-runs the wire-codec fuzzer against the
-# golden corpus; tracestress repeats the trace-stamp ordering subtest; flakes
+# black-box dump e2e); fuzz smoke-runs the wire-codec and store-index
+# fuzzers; tracestress repeats the trace-stamp ordering subtest; flakes
 # repeats E17 quick; detectors is the deterministic anomaly-detector suite;
 # soak-short is the CI-scale overload storm against the governed stack.
 verify: vet build race chaos fuzz tracestress flakes detectors soak-short

@@ -36,7 +36,7 @@ func (s *Store) Save() ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	img := storeImage{Version: s.version, Horizon: s.horizon}
-	s.keys.ascend(keyspace.Full(), func(n *skipNode) bool {
+	s.keys.ascend(keyspace.Full(), func(n *slot) bool {
 		ki := keyImage{Key: n.key}
 		for r := n.head; r != nil; r = r.prev {
 			ki.Versions = append(ki.Versions, versionImage{Version: r.version, Value: r.value, Deleted: r.deleted})

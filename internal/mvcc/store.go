@@ -29,7 +29,7 @@ var (
 )
 
 // version is one record of a key's history. A key's records form a chain,
-// newest first through prev, whose head lives in the key's skiplist node; a
+// newest first through prev, whose head lives in the key's index slot; a
 // record is never written after it is linked, except that GC cuts prev.
 type version struct {
 	version core.Version
@@ -70,7 +70,7 @@ type Stats struct {
 // Store is the MVCC store. All methods are safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
-	keys    *skiplist
+	keys    *btree
 	version core.Version // TSO: last committed version
 	horizon core.Version // snapshot reads below this fail with ErrVersionGCed
 
@@ -89,9 +89,9 @@ type Store struct {
 	batch, sub []core.ChangeEvent
 
 	// tx is the transaction scratch, reused across Commit calls under mu:
-	// the write slice and index are cleared in place rather than
-	// reallocated, so a steady-state commit allocates, per written key, the
-	// value copy the transaction makes and the version record it installs.
+	// the write slice is cleared in place rather than reallocated, so a
+	// steady-state commit allocates, per written key, the value copy the
+	// transaction makes and the version record it installs.
 	tx Tx
 
 	// tracer, when non-nil, samples committed events at the source: the
@@ -107,7 +107,7 @@ type tap struct {
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{keys: newSkiplist(42)}
+	return &Store{keys: newBtree()}
 }
 
 var _ core.CursorSnapshotter = (*Store)(nil)
@@ -128,8 +128,7 @@ func (s *Store) SetTracer(t *trace.Tracer) {
 // scratch for the next transaction, so callers must not retain it.
 type Tx struct {
 	s      *Store
-	writes []write              // one per written key, in first-write order
-	index  map[keyspace.Key]int // key → position in writes: Get and re-writes only
+	writes []write // one per written key, in first-write order
 }
 
 // write is a transaction's last mutation of one key.
@@ -140,7 +139,7 @@ type write struct {
 
 // Get reads a key inside the transaction (uncommitted writes are visible).
 func (tx *Tx) Get(k keyspace.Key) ([]byte, bool) {
-	if i, ok := tx.index[k]; ok {
+	if i, ok := tx.lookup(k); ok {
 		m := tx.writes[i].mut
 		return m.Value, m.Op != core.OpDelete
 	}
@@ -161,12 +160,22 @@ func (tx *Tx) Delete(k keyspace.Key) {
 }
 
 func (tx *Tx) set(k keyspace.Key, m core.Mutation) {
-	if i, seen := tx.index[k]; seen {
+	if i, seen := tx.lookup(k); seen {
 		tx.writes[i].mut = m
 		return
 	}
-	tx.index[k] = len(tx.writes)
 	tx.writes = append(tx.writes, write{key: k, mut: m})
+}
+
+// lookup returns the position of k's write, if the transaction wrote k. It
+// scans: the store's transactions write a few keys each.
+func (tx *Tx) lookup(k keyspace.Key) (int, bool) {
+	for i := range tx.writes {
+		if tx.writes[i].key == k {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Commit runs fn in a serializable transaction and atomically applies its
@@ -177,11 +186,6 @@ func (s *Store) Commit(fn func(tx *Tx) error) (core.Version, error) {
 	defer s.mu.Unlock()
 	tx := &s.tx
 	tx.s = s
-	if tx.index == nil {
-		tx.index = make(map[keyspace.Key]int)
-	} else {
-		clear(tx.index)
-	}
 	tx.writes = tx.writes[:0]
 	if err := fn(tx); err != nil {
 		return core.NoVersion, fmt.Errorf("%w: %v", ErrTxnAborted, err)
@@ -208,7 +212,6 @@ func (s *Store) applyLocked(writes []write) core.Version {
 	s.commits++
 	tapped := len(s.taps) > 0
 	s.batch = s.batch[:0]
-	s.keys.resetFinger()
 	for i := range writes {
 		k, m := writes[i].key, writes[i].mut
 		n := s.keys.getOrCreate(k)
@@ -365,8 +368,8 @@ func (s *Store) scanLocked(r keyspace.Range, at core.Version, limit int) ([]core
 
 // boundLocked is an upper bound on the live entries of r at any version, or 0
 // when none is known cheaply: the key count for the whole keyspace, nothing
-// for a sub-range (the skiplist keeps no ranks, and the key count would
-// over-reserve a narrow range by orders of magnitude). Caller holds mu.
+// for a sub-range (the B+tree counts keys only at its root, and the key count
+// would over-reserve a narrow range by orders of magnitude). Caller holds mu.
 func (s *Store) boundLocked(r keyspace.Range) int {
 	if r.ContainsRange(keyspace.Full()) {
 		return s.keys.size
@@ -381,7 +384,7 @@ func (s *Store) boundLocked(r keyspace.Range) int {
 // Caller holds mu.
 func (s *Store) collectLocked(r keyspace.Range, at core.Version, out []core.Entry, limit int) []core.Entry {
 	base := len(out)
-	s.keys.ascend(r, func(n *skipNode) bool {
+	s.keys.ascend(r, func(n *slot) bool {
 		rec := n.head.liveAt(at)
 		if rec == nil {
 			return true
@@ -475,7 +478,7 @@ func (s *Store) GCBefore(v core.Version) {
 		return
 	}
 	s.horizon = v
-	s.keys.ascend(keyspace.Full(), func(n *skipNode) bool {
+	s.keys.ascend(keyspace.Full(), func(n *slot) bool {
 		// Everything older than the newest record at or below v is invisible
 		// to any snapshot >= v.
 		keep := n.head.at(v)

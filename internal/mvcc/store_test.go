@@ -101,6 +101,56 @@ func TestTxnReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestTxnReadYourWritesManyKeys: a transaction of many keys finds each of
+// its own writes and re-writes; an aborted one leaves nothing in the next.
+func TestTxnReadYourWritesManyKeys(t *testing.T) {
+	s := NewStore()
+	const n = 48
+	key := func(i int) keyspace.Key { return keyspace.NumericKey(i) }
+	_, err := s.Commit(func(tx *Tx) error {
+		for i := range n {
+			tx.Put(key(i), []byte{byte(i)})
+			tx.Put(key(i/2), []byte{byte(i / 2), 1}) // a re-write of an earlier key
+			for j := range i + 1 {
+				want := []byte{byte(j), 1}
+				if j > i/2 {
+					want = want[:1]
+				}
+				if v, ok := tx.Get(key(j)); !ok || !bytes.Equal(v, want) {
+					return fmt.Errorf("after %d writes: Get(%d) = %v/%v, want %v", i+1, j, v, ok, want)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Keys != n || st.VersionsHeld != n {
+		t.Fatalf("committed %d keys in %d versions, want %d", st.Keys, st.VersionsHeld, n)
+	}
+	s.Commit(func(tx *Tx) error {
+		for i := range n {
+			tx.Put(key(n+i), nil)
+		}
+		return errors.New("abort")
+	})
+	s.Commit(func(tx *Tx) error {
+		for i := range n {
+			tx.Put(key(2*n+i), nil)
+		}
+		for i := range n {
+			if _, ok := tx.Get(key(2*n + i)); !ok {
+				t.Errorf("own write %d invisible after an aborted transaction", i)
+			}
+		}
+		if _, ok := tx.Get(key(n + 1)); ok {
+			t.Error("an aborted transaction's write is visible to the next")
+		}
+		return nil
+	})
+}
+
 func TestScanOrderAndSnapshot(t *testing.T) {
 	s := NewStore()
 	for _, i := range []int{5, 1, 9, 3, 7} {
