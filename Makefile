@@ -23,13 +23,17 @@ vet:
 # and prints -compare's table: both sides' medians and quartile spreads per
 # workload and metric, the gap against BENCHMARK.json's bound, exit 1 over
 # bound. Everything it writes is under a temp dir it removes, worktree
-# included. A pair of all four workloads takes about 4 minutes.
+# included. A pair of all four workloads takes about 4 minutes. SEED picks
+# the workload inputs on both sides: a gain found at one seed is checked
+# again at another that was not used while building it.
 #   make ab BASE=HEAD~1            make ab BASE=main N=5 WORKLOAD=recover_snapshot
+#   make ab BASE=main SEED=3 WORKLOAD=live_local
 N ?= 10
 WORKLOAD ?= all
+SEED ?= 1
 
 ab:
-	@test -n "$(BASE)" || { echo "usage: make ab BASE=<ref> [N=10] [WORKLOAD=all]" >&2; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make ab BASE=<ref> [N=10] [WORKLOAD=all] [SEED=1]" >&2; exit 2; }
 	@set -e; T=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$T/base" >/dev/null 2>&1 || true; rm -rf "$$T"' EXIT; \
 	trap 'exit 130' INT TERM; \
@@ -39,11 +43,11 @@ ab:
 	for i in $$(seq 1 $(N)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi; \
 		for side in $$order; do \
-			"$$T/$$side" -workload $(WORKLOAD) -trace=false -out "$$T/$$side.jsonl" >/dev/null; \
+			"$$T/$$side" -workload $(WORKLOAD) -seed $(SEED) -trace=false -out "$$T/$$side.jsonl" >/dev/null; \
 		done; \
 		echo "ab: pair $$i of $(N) done" >&2; \
 	done; \
-	echo "a = $(BASE) ($$(git rev-parse --short "$(BASE)")), b = working tree at $$(git rev-parse --short HEAD)"; \
+	echo "a = $(BASE) ($$(git rev-parse --short "$(BASE)")), b = working tree at $$(git rev-parse --short HEAD), seed $(SEED)"; \
 	"$$T/b" -compare "$$T/a.jsonl" "$$T/b.jsonl"
 
 # chaos runs the transport fault-injection suite under the race detector:

@@ -205,9 +205,7 @@ type Ingester interface {
 	// everything one store commit produced — letting the watch system
 	// amortize per-call synchronization. The batch must respect the same
 	// per-key version ordering as a sequence of Appends, and the callee must
-	// not retain evs after returning (the caller keeps ownership). An
-	// implementation without a native batch path can delegate to the Batch
-	// adapter.
+	// not retain evs after returning (the caller keeps ownership).
 	AppendBatch(evs []ChangeEvent) error
 	// Progress declares that every change below and at the given version for
 	// the given range has been appended.
@@ -225,27 +223,13 @@ type FeedStart interface {
 	FeedStartsAfter(v Version)
 }
 
-// SingleIngester is the pre-batching store-facing contract: one event per
-// call. Wrap one with Batch to obtain a full Ingester.
-type SingleIngester interface {
-	Append(ev ChangeEvent) error
-	Progress(p ProgressEvent) error
-}
-
-// Batch adapts a SingleIngester to the full Ingester contract by looping
-// AppendBatch over Append. Implementations with a real batch path should
-// implement Ingester directly instead.
-func Batch(si SingleIngester) Ingester { return batchAdapter{si} }
-
-type batchAdapter struct{ SingleIngester }
-
-func (a batchAdapter) AppendBatch(evs []ChangeEvent) error {
-	for i := range evs {
-		if err := a.Append(evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+// CommitIngester is an optional Ingester capability: AppendCommit ingests
+// one commit — its change events, then its progress claim — with the effect
+// of AppendBatch(evs) followed by Progress(p), in one call. A source whose
+// ingester offers it makes one entry into the watch system per commit; an
+// ingester without it gets the two calls.
+type CommitIngester interface {
+	AppendCommit(evs []ChangeEvent, p ProgressEvent) error
 }
 
 // Entry is one key's state in a snapshot read, used during resync.

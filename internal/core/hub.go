@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,8 +178,8 @@ type HubStats struct {
 // its callbacks stay serialized.
 //
 // Lock order (outermost first): regMu, then shard locks in ascending shard
-// index, then watcher ring locks. Ingest paths (Append/AppendBatch/Progress)
-// take only shard and ring locks.
+// index, then watcher ring locks. Ingest (Append, AppendBatch, Progress,
+// AppendCommit) takes only shard and ring locks, one shard at a time.
 type Hub struct {
 	cfg    HubConfig
 	met    hubMetrics
@@ -192,8 +191,7 @@ type Hub struct {
 	// first passed them — the substrate for time-behind-frontier lag.
 	verTimes verClock
 
-	lows   []keyspace.Key // shard lower bounds, ascending (lows[0] == "")
-	shards []*hubShard
+	shards []*hubShard // ascending, partitioning the keyspace
 
 	// segPool recycles retention-segment arrays across all shards; the
 	// per-segment event capacity is fixed at construction from Retention.
@@ -211,7 +209,8 @@ type Hub struct {
 	nextID   int64
 
 	resyncs       atomic.Int64
-	progressCalls atomic.Int64 // Progress() invocations (not per-shard slices)
+	progressCalls atomic.Int64  // claims ingested (not per-shard slices)
+	ingests       atomic.Uint64 // ingest calls carrying events, for latency sampling
 }
 
 // hubShard owns one key range's ingest state.
@@ -237,8 +236,7 @@ type hubShard struct {
 	evicted  atomic.Uint64 // max version among evicted events (read cross-shard)
 	maxSeen  atomic.Uint64 // max version ever appended here (read cross-shard)
 	frontier VersionMap
-	watchers map[int64]*hubWatcher // ring watchers registered in this shard
-	index    watcherIndex          // shard-clipped range → ring watcher ids
+	index    watcherIndex // shard-clipped ranges → the ring watchers covering them
 	// readers are the watchers covering the whole shard, which read the
 	// chain instead of a ring (reader.go).
 	readers []*reader
@@ -259,9 +257,10 @@ func (s *hubShard) tailLocked(h *Hub) *segment {
 }
 
 var (
-	_ Ingester  = (*Hub)(nil)
-	_ FeedStart = (*Hub)(nil)
-	_ Watchable = (*Hub)(nil)
+	_ Ingester       = (*Hub)(nil)
+	_ CommitIngester = (*Hub)(nil)
+	_ FeedStart      = (*Hub)(nil)
+	_ Watchable      = (*Hub)(nil)
 )
 
 // NewHub creates a Hub with the given configuration.
@@ -281,12 +280,7 @@ func NewHub(cfg HubConfig) *Hub {
 		segPool:  segPool{size: segSizeFor(cfg.Retention)},
 	}
 	for i, r := range keyspace.EvenSplit(cfg.Shards*1000, cfg.Shards) {
-		h.lows = append(h.lows, r.Low)
-		h.shards = append(h.shards, &hubShard{
-			idx:      i,
-			rng:      r,
-			watchers: make(map[int64]*hubWatcher),
-		})
+		h.shards = append(h.shards, &hubShard{idx: i, rng: r})
 	}
 	h.registerLagGauges(cfg.Metrics.Or())
 	if cfg.Governor != nil {
@@ -304,16 +298,6 @@ func NewHub(cfg HubConfig) *Hub {
 
 // NumShards returns the hub's shard count.
 func (h *Hub) NumShards() int { return len(h.shards) }
-
-// shardFor returns the shard owning k. Shard ranges partition the keyspace,
-// so the owner is the last shard whose lower bound is <= k.
-func (h *Hub) shardFor(k keyspace.Key) *hubShard {
-	if len(h.shards) == 1 {
-		return h.shards[0]
-	}
-	i := sort.Search(len(h.lows), func(i int) bool { return h.lows[i] > k }) - 1
-	return h.shards[i]
-}
 
 // minResyncVersion is the version a resyncing watcher's recovery snapshot
 // must reflect: the highest version the hub has seen or evicted anywhere.
@@ -336,8 +320,10 @@ func (h *Hub) minResyncVersion() Version {
 type ingestFx struct {
 	appends, delivered, evictions, retained int64
 	appendOverflow                          int64
-	sampleLatency                           bool
-	lagged                                  []laggedRef // cross-shard index removal, deferred
+	// segBytes is the call's net charge to the governor's hub account:
+	// retained footprints minus evicted ones.
+	segBytes int64
+	lagged   []laggedRef // cross-shard index removal, deferred
 }
 
 // laggedRef records where a lag-out originated so the deferred cleanup can
@@ -348,6 +334,11 @@ type laggedRef struct {
 }
 
 func (h *Hub) flushIngest(fx *ingestFx) {
+	if fx.segBytes > 0 {
+		h.segAcct.Charge(fx.segBytes)
+	} else {
+		h.segAcct.Release(-fx.segBytes)
+	}
 	if fx.appends > 0 {
 		h.met.appends.Add(fx.appends)
 	}
@@ -381,7 +372,7 @@ func (h *Hub) finishLagged(fx *ingestFx) {
 				continue
 			}
 			s.mu.Lock()
-			s.index.remove(ref.w.id, clip)
+			s.index.remove(ref.w, clip)
 			s.dropReaderLocked(h, ref.w)
 			s.mu.Unlock()
 		}
@@ -403,7 +394,7 @@ func (h *Hub) lagOutLocked(w *hubWatcher, origin *hubShard, reason string, tid t
 	h.resyncs.Add(1)
 	h.met.resyncs.Inc()
 	if origin != nil {
-		origin.index.remove(w.id, w.rng.Intersect(origin.rng))
+		origin.index.remove(w, w.rng.Intersect(origin.rng))
 		origin.dropReaderLocked(h, w)
 	}
 	min := h.minResyncVersion()
@@ -531,13 +522,11 @@ func (h *Hub) relieveShed(int64) int64 {
 	return worstBytes
 }
 
-// appendLocked ingests one event into the shard; the caller holds s.mu.
-func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
+// retainLocked adds one event to the shard's retained window; the caller
+// holds s.mu.
+func (s *hubShard) retainLocked(h *Hub, ev *ChangeEvent, fx *ingestFx) {
 	s.appends++
 	fx.appends++
-	if s.appends&7 == 0 { // 1-in-8 sample keeps the histogram lock off most appends
-		fx.sampleLatency = true
-	}
 	if v := uint64(ev.Version); v > s.maxSeen.Load() {
 		s.maxSeen.Store(v)
 	}
@@ -548,7 +537,7 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 	if s.count >= h.cfg.Retention && len(s.segs) > 0 {
 		freed := s.evictOneLocked(h, fx)
 		s.chargedBytes -= freed
-		h.segAcct.Release(freed)
+		fx.segBytes -= freed
 	}
 	tail := s.tailLocked(h)
 	if tail.full() {
@@ -562,13 +551,13 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 		s.segs = append(s.segs, tail)
 		s.pinTailLocked(tail)
 	}
-	tail.push(ev)
+	tail.push(*ev)
 	s.count++
 	fx.retained++
 	if h.segAcct != nil {
-		fp := evFootprint(&ev)
+		fp := evFootprint(ev)
 		s.chargedBytes += fp
-		h.segAcct.Charge(fp)
+		fx.segBytes += fp
 	}
 	if ev.Trace != 0 {
 		h.tracer.Record(ev.Trace, trace.StageAppend)
@@ -578,108 +567,183 @@ func (s *hubShard) appendLocked(h *Hub, ev ChangeEvent, fx *ingestFx) {
 			h.tracer.Record(ev.Trace, trace.StageEnqueue)
 		}
 	}
+}
 
-	// Readers find the event in the chain. Fan out to ring watchers through
-	// the range index: only watchers covering the key are touched, so cost
-	// scales with interested watchers, not all watchers.
-	s.index.lookup(ev.Key, func(id int64) {
-		w := s.watchers[id]
-		if w == nil || w.lagged.Load() || ev.Version <= w.from {
-			return
+// fanOutLocked hands the shard's events in evs to its ring watchers in one
+// walk of the index; readers find them in the chain instead. Consecutive
+// events in one interval form a run, and each of the interval's watchers
+// takes the run in one ring append, so cost scales with runs and interested
+// watchers, not with events times watchers. Events of other shards fall in
+// intervals no watcher of s covers. moved is passed on to enqueueRun. The
+// caller holds s.mu.
+func (s *hubShard) fanOutLocked(h *Hub, evs []ChangeEvent, moved bool, fx *ingestFx) {
+	x := &s.index
+	for i := 0; i < len(evs) && len(x.lows) > 0; {
+		at := x.find(evs[i].Key)
+		j, tid := i+1, evs[i].Trace
+		for ; j < len(evs) && x.holds(at, evs[j].Key); j++ {
+			if tid == 0 {
+				tid = evs[j].Trace
+			}
 		}
-		// Stamp before publishing into the ring: once enqueued, the dispatch
-		// goroutine may deliver and complete the trace at any moment, and a
-		// completed trace takes no further stamps. On overflow the stamp
-		// stands — it marks the first enqueue attempt across the fan-out.
-		if ev.Trace != 0 {
-			h.tracer.Record(ev.Trace, trace.StageEnqueue)
+		// A lag-out below rebuilds the index; the list read here stays valid
+		// (lists are copy-on-write) and the next run searches afresh.
+		run, list := evs[i:j], x.ws[at]
+		i = j
+		for _, w := range list {
+			if w.lagged.Load() {
+				continue
+			}
+			// Stamp before publishing into the ring: once enqueued, the
+			// dispatch goroutine may deliver and complete the trace at any
+			// moment, and a completed trace takes no further stamps. On
+			// overflow the stamps stand — they mark the first enqueue attempt
+			// across the fan-out.
+			if tid != 0 {
+				for k := range run {
+					if run[k].Trace != 0 && run[k].Version > w.from {
+						h.tracer.Record(run[k].Trace, trace.StageEnqueue)
+					}
+				}
+			}
+			n, ok := w.q.enqueueRun(run, w.from, moved)
+			s.delivered += int64(n)
+			fx.delivered += int64(n)
+			if !ok {
+				fx.appendOverflow++
+				h.lagOutLocked(w, s, "watcher buffer overflow", tid, fx)
+			}
 		}
-		if w.q.enqueue(ev) {
-			s.delivered++
-			fx.delivered++
-		} else {
-			fx.appendOverflow++
-			h.lagOutLocked(w, s, "watcher buffer overflow", ev.Trace, fx)
+	}
+}
+
+// ingestLocked is one shard's part of an ingest call, in one lock hold: it
+// retains the events of evs that s owns, fans them out, raises the frontier
+// over claim to v, and wakes the watchers — ring watchers the claim overlaps
+// and every reader. The raise follows the enqueue under the lock every
+// dispatcher's frontier read takes, so an event the new frontier covers is
+// queued (or in the chain) before any dispatcher can see the frontier.
+// The caller holds s.mu.
+func (s *hubShard) ingestLocked(h *Hub, evs []ChangeEvent, claim keyspace.Range, v Version, fx *ingestFx) {
+	n := fx.appends
+	for i := range evs {
+		if s.rng.Contains(evs[i].Key) {
+			s.retainLocked(h, &evs[i], fx)
 		}
-	})
+	}
+	grew, raise := fx.appends > n, !claim.Empty()
+	if grew {
+		s.fanOutLocked(h, evs, raise, fx)
+	}
+	if raise {
+		if uint64(v) > s.maxSeen.Load() {
+			s.maxSeen.Store(uint64(v))
+		}
+		s.frontier.Raise(claim, v)
+		i, j := s.index.span(claim)
+		for _, list := range s.index.ws[i:j] {
+			for _, w := range list {
+				if !w.lagged.Load() {
+					w.q.wake()
+				}
+			}
+		}
+	}
+	s.publishLocked(h, grew, raise, fx)
+}
+
+// ownsAny reports whether some event of evs falls in s.
+func (s *hubShard) ownsAny(evs []ChangeEvent) bool {
+	for i := range evs {
+		if s.rng.Contains(evs[i].Key) {
+			return true
+		}
+	}
+	return false
+}
+
+// ingest is the one ingest path: Append, AppendBatch, Progress and
+// AppendCommit all enter here. Each shard that owns an event of evs or
+// overlaps the claim p (nil: none) is locked once, in ascending order, and
+// settles its whole share in that hold; registry counters and the
+// governor's retention account are settled once per call, outside every
+// lock. Per-key version order holds because batch order is kept within each
+// shard and a key lives in exactly one shard. The hub copies what it
+// retains; the caller keeps ownership of evs.
+func (h *Hub) ingest(evs []ChangeEvent, p *ProgressEvent) error {
+	// A 1-in-8 sample of the calls that carry events keeps the clock and
+	// the histogram lock off most of them.
+	var start time.Time
+	sample := len(evs) > 0 && h.ingests.Add(1)&7 == 0
+	if sample {
+		start = time.Now()
+	}
+	var fx ingestFx
+	var v Version
+	for _, s := range h.shards {
+		var claim keyspace.Range
+		if p != nil {
+			claim, v = p.Range.Intersect(s.rng), p.Version
+		}
+		if claim.Empty() && !s.ownsAny(evs) {
+			continue
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			h.finishLagged(&fx)
+			h.flushIngest(&fx)
+			return ErrClosed
+		}
+		s.ingestLocked(h, evs, claim, v, &fx)
+		s.mu.Unlock()
+	}
+	h.finishLagged(&fx)
+	h.flushIngest(&fx)
+	if sample {
+		h.met.appendLatency.ObserveDuration(time.Since(start))
+	}
+	if p != nil {
+		h.progressCalls.Add(1)
+		h.met.progress.Inc()
+		// Checkpoint the frontier's passage of p.Version for the lag radar:
+		// time-behind-frontier is "now minus the instant the hub first moved
+		// past the watcher's position". Only a claim checkpoints, so the
+		// append path stays checkpoint-free.
+		h.verTimes.note(uint64(p.Version), h.clock.Now().UnixNano())
+	}
+	return nil
 }
 
 // Append implements Ingester. Events for one key must arrive in
 // non-decreasing version order (the store's CDC feed guarantees this).
 func (h *Hub) Append(ev ChangeEvent) error {
-	start := time.Now()
-	s := h.shardFor(ev.Key)
-	var fx ingestFx
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.appendLocked(h, ev, &fx)
-	s.publishLocked(h, &fx)
-	s.mu.Unlock()
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
-	if fx.sampleLatency {
-		h.met.appendLatency.ObserveDuration(time.Since(start))
-	}
-	return nil
+	return h.ingest([]ChangeEvent{ev}, nil)
 }
 
 // AppendBatch implements Ingester: it ingests a batch of events, taking each
-// touched shard's lock once instead of once per event. Per-key version order
-// is preserved because batch order is kept within each shard and a key lives
-// in exactly one shard. The hub copies what it retains; the caller keeps
-// ownership of evs.
+// touched shard's lock once instead of once per event.
 func (h *Hub) AppendBatch(evs []ChangeEvent) error {
-	if len(evs) == 0 {
-		return nil
-	}
-	start := time.Now()
-	var fx ingestFx
-	if len(h.shards) == 1 {
-		s := h.shards[0]
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		for i := range evs {
-			s.appendLocked(h, evs[i], &fx)
-		}
-		s.publishLocked(h, &fx)
-		s.mu.Unlock()
-	} else {
-		for _, s := range h.shards {
-			locked := false
-			for i := range evs {
-				if !s.rng.Contains(evs[i].Key) {
-					continue
-				}
-				if !locked {
-					s.mu.Lock()
-					if s.closed {
-						s.mu.Unlock()
-						h.finishLagged(&fx)
-						h.flushIngest(&fx)
-						return ErrClosed
-					}
-					locked = true
-				}
-				s.appendLocked(h, evs[i], &fx)
-			}
-			if locked {
-				s.publishLocked(h, &fx)
-				s.mu.Unlock()
-			}
-		}
-	}
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
-	if fx.sampleLatency {
-		h.met.appendLatency.ObserveDuration(time.Since(start))
-	}
-	return nil
+	return h.ingest(evs, nil)
+}
+
+// Progress implements Ingester: the store confirms completeness of the event
+// stream for a range up to a version. The claim is split along shard
+// boundaries; each shard raises its frontier slice and wakes the watchers
+// its range index finds overlapping the clipped claim, so watchers with no
+// overlap are never touched. A claim holds no queue slot: each woken
+// dispatcher reads the frontier itself, so progress can never overflow a
+// watcher, and a burst of claims costs a slow watcher one announcement.
+func (h *Hub) Progress(p ProgressEvent) error {
+	return h.ingest(nil, &p)
+}
+
+// AppendCommit implements CommitIngester: one commit's events and then its
+// progress claim, as AppendBatch(evs) followed by Progress(p) would ingest
+// them, but with each touched shard locked once and each touched watcher
+// woken once.
+func (h *Hub) AppendCommit(evs []ChangeEvent, p ProgressEvent) error {
+	return h.ingest(evs, &p)
 }
 
 // FeedStartsAfter implements FeedStart: a hub attached to a source already
@@ -693,52 +757,6 @@ func (h *Hub) FeedStartsAfter(v Version) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// Progress implements Ingester: the store confirms completeness of the event
-// stream for a range up to a version. The claim is split along shard
-// boundaries; each shard raises its frontier slice and wakes the watchers
-// its range index finds overlapping the clipped claim, so watchers with no
-// overlap are never touched. A claim holds no queue slot: each woken
-// dispatcher reads the frontier itself, so progress can never overflow a
-// watcher, and a burst of claims costs a slow watcher one announcement.
-func (h *Hub) Progress(p ProgressEvent) error {
-	for _, s := range h.shards {
-		clipped := p.Range.Intersect(s.rng)
-		if clipped.Empty() {
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		if v := uint64(p.Version); v > s.maxSeen.Load() {
-			s.maxSeen.Store(v)
-		}
-		// Raise before waking, under the lock every append to this shard
-		// takes: an event the new frontier covers is already queued.
-		s.frontier.Raise(clipped, p.Version)
-		s.index.overlapping(clipped, func(id int64) {
-			if w := s.watchers[id]; w != nil && !w.lagged.Load() {
-				w.q.wake()
-			}
-		})
-		for _, r := range s.readers {
-			if !r.w.lagged.Load() {
-				r.w.q.wake()
-			}
-		}
-		s.mu.Unlock()
-	}
-	h.progressCalls.Add(1)
-	h.met.progress.Inc()
-	// Checkpoint the frontier's passage of p.Version for the lag radar:
-	// time-behind-frontier is "now minus the instant the hub first moved
-	// past the watcher's position". Progress is the only caller, so the
-	// append hot path stays checkpoint-free.
-	h.verTimes.note(uint64(p.Version), h.clock.Now().UnixNano())
-	return nil
 }
 
 // Watch implements Watchable. The watcher registers in every shard its range
@@ -794,8 +812,7 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 		if clip == s.rng {
 			s.addReaderLocked(h, w)
 		} else {
-			s.index.add(w.id, clip)
-			s.watchers[w.id] = w
+			s.index.add(w, clip)
 			w.ringed = true
 		}
 		// Pin the shard's retention chain for off-lock replay (arrival order
@@ -844,8 +861,7 @@ func (h *Hub) cancel(w *hubWatcher) {
 			continue
 		}
 		s.mu.Lock()
-		s.index.remove(w.id, clip)
-		delete(s.watchers, w.id)
+		s.index.remove(w, clip)
 		s.dropReaderLocked(h, w)
 		s.mu.Unlock()
 	}
@@ -889,7 +905,7 @@ func (h *Hub) Wipe() {
 		h.resyncs.Add(1)
 		h.met.resyncs.Inc()
 		for _, s := range h.shards {
-			s.index.remove(w.id, w.rng.Intersect(s.rng))
+			s.index.remove(w, w.rng.Intersect(s.rng))
 			s.dropReaderLocked(h, w)
 		}
 		w.q.lagOut(ResyncEvent{Range: w.rng, MinVersion: min, Reason: "watch system state wiped"})

@@ -17,6 +17,7 @@ type blockGate struct {
 	collector
 	mu      sync.Mutex
 	blocked bool
+	parked  bool // a callback is waiting at the gate
 	wake    chan struct{}
 }
 
@@ -46,9 +47,18 @@ func (g *blockGate) OnEvent(ev ChangeEvent) {
 		if !blocked {
 			break
 		}
+		g.mu.Lock()
+		g.parked = true
+		g.mu.Unlock()
 		<-wake
 	}
 	g.collector.OnEvent(ev)
+}
+
+func (g *blockGate) isParked() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.parked
 }
 
 func TestVerClock(t *testing.T) {
@@ -154,8 +164,10 @@ func TestWatcherLagsBehindFrontier(t *testing.T) {
 	h.Progress(ProgressEvent{Range: keyspace.Full(), Version: 6})
 	fc.Advance(750 * time.Millisecond)
 
-	// The blocked callback may have already dequeued v2 before stalling, so
-	// accept LastSeen of 1 or 2; the lag math must agree either way.
+	// Read the radar once the dispatcher is parked in v2's callback: it
+	// counts v2 as seen before the callback runs, so until then LastSeen
+	// may move from 1 to 2 between two reads below.
+	waitUntil(t, "dispatcher parked on v2", g.isParked)
 	ls := h.WatcherLags()
 	if len(ls) != 1 {
 		t.Fatalf("radar has %d watchers, want 1", len(ls))

@@ -108,9 +108,10 @@ func (s *hubShard) pinTailLocked(tail *segment) {
 }
 
 // publishLocked ends one ingest call's work in s: it publishes the log
-// length, then lag-checks and wakes each reader — once per batch, never per
-// event. Caller holds s.mu.
-func (s *hubShard) publishLocked(h *Hub, fx *ingestFx) {
+// length, then — once per call, never per event — lag-checks each reader
+// when the log grew and wakes it: a touch when the frontier moved, a nudge
+// when only the log did. Caller holds s.mu.
+func (s *hubShard) publishLocked(h *Hub, grew, moved bool, fx *ingestFx) {
 	s.logLen.Store(s.appends)
 	// Backwards, because a lag-out removes the reader from s.readers.
 	for i := len(s.readers) - 1; i >= 0; i-- {
@@ -118,12 +119,16 @@ func (s *hubShard) publishLocked(h *Hub, fx *ingestFx) {
 		if w.lagged.Load() {
 			continue
 		}
-		if w.backlog() > h.cfg.WatcherBuffer {
+		if grew && w.backlog() > h.cfg.WatcherBuffer {
 			fx.appendOverflow++
 			h.lagOutLocked(w, s, "watcher buffer overflow", 0, fx)
 			continue
 		}
-		w.q.nudge()
+		if moved {
+			w.q.wake()
+		} else {
+			w.q.nudge()
+		}
 	}
 }
 

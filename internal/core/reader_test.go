@@ -39,9 +39,28 @@ func fixedBatch(prefix string, n int) []ChangeEvent {
 	return evs
 }
 
-// appender returns a closure that appends batch at the next version and
+// An ingest is one way a commit's batch enters the hub at version v.
+type ingest func(h *Hub, evs []ChangeEvent, v Version) error
+
+// ingests are the commit paths the allocation pins cover: the events and
+// their claim as two calls, and folded into one.
+var ingests = map[string]ingest{
+	"batch+progress": func(h *Hub, evs []ChangeEvent, v Version) error {
+		if err := h.AppendBatch(evs); err != nil {
+			return err
+		}
+		return h.Progress(ProgressEvent{Range: keyspace.Full(), Version: v})
+	},
+	"commit": func(h *Hub, evs []ChangeEvent, v Version) error {
+		return h.AppendCommit(evs, ProgressEvent{Range: keyspace.Full(), Version: v})
+	},
+}
+
+func appendOnly(h *Hub, evs []ChangeEvent, _ Version) error { return h.AppendBatch(evs) }
+
+// appender returns a closure that ingests batch at the next version and
 // spins until every sink has received it: one commit's append and dispatch.
-func appender(t *testing.T, h *Hub, batch []ChangeEvent, sinks []*countSink) func() {
+func appender(t *testing.T, h *Hub, in ingest, batch []ChangeEvent, sinks []*countSink) func() {
 	var v Version
 	var want int64
 	return func() {
@@ -49,7 +68,7 @@ func appender(t *testing.T, h *Hub, batch []ChangeEvent, sinks []*countSink) fun
 		for i := range batch {
 			batch[i].Version = v
 		}
-		if err := h.AppendBatch(batch); err != nil {
+		if err := in(h, batch, v); err != nil {
 			t.Fatal(err)
 		}
 		want += int64(len(batch))
@@ -112,7 +131,7 @@ func TestReaderAppendAllocatesNothing(t *testing.T) {
 		defer cancel()
 		sinks = append(sinks, s)
 	}
-	step := appender(t, h, fixedBatch("k", 8), sinks)
+	step := appender(t, h, appendOnly, fixedBatch("k", 8), sinks)
 	for i := 0; i < 100; i++ { // past several seals, so the pool recycles
 		step()
 	}
@@ -133,10 +152,11 @@ func TestReaderAppendAllocatesNothing(t *testing.T) {
 
 // TestIdleObserversAllocateNothing pins that an idle tracer, a flight
 // recorder and an unpressured governor cost the hot path no allocation:
-// appending and delivering allocate nothing on the ring path (a narrow
+// committing and delivering allocate nothing on the ring path (a narrow
 // watch) and on the reader path (a covering watch), with any of them
-// attached. The row without observers is the steady-state dispatch pin for
-// both paths.
+// attached, whether the commit enters as AppendBatch and Progress or as one
+// AppendCommit. The row without observers is the steady-state dispatch pin
+// for both paths.
 func TestIdleObserversAllocateNothing(t *testing.T) {
 	observers := map[string]func(*HubConfig) func(){
 		"none": func(*HubConfig) func() { return func() {} },
@@ -162,26 +182,30 @@ func TestIdleObserversAllocateNothing(t *testing.T) {
 		for pname, r := range paths {
 			for _, batch := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/batch=%v", oname, pname, batch), func(t *testing.T) {
-					cfg := HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()}
-					defer attach(&cfg)()
-					h := NewHub(cfg)
-					defer h.Close()
-					s := &countSink{}
-					var cb WatchCallback = plainSink{s}
-					if batch {
-						cb = s
-					}
-					cancel, err := h.Watch(r, NoVersion, cb)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer cancel()
-					step := appender(t, h, fixedBatch("k", 8), []*countSink{s})
-					for i := 0; i < 100; i++ {
-						step()
-					}
-					if n := testing.AllocsPerRun(200, step); n != 0 {
-						t.Fatalf("append and delivery: %v allocs, want 0", n)
+					for iname, in := range ingests {
+						t.Run(iname, func(t *testing.T) {
+							cfg := HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()}
+							defer attach(&cfg)()
+							h := NewHub(cfg)
+							defer h.Close()
+							s := &countSink{}
+							var cb WatchCallback = plainSink{s}
+							if batch {
+								cb = s
+							}
+							cancel, err := h.Watch(r, NoVersion, cb)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer cancel()
+							step := appender(t, h, in, fixedBatch("k", 8), []*countSink{s})
+							for i := 0; i < 100; i++ {
+								step()
+							}
+							if n := testing.AllocsPerRun(200, step); n != 0 {
+								t.Fatalf("commit and delivery: %v allocs, want 0", n)
+							}
+						})
 					}
 				})
 			}

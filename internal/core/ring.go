@@ -22,7 +22,7 @@ const (
 )
 
 // ring is a watcher's delivery queue. It carries change events only, held by
-// value in a slice that enqueue appends to and the dispatcher takes whole,
+// value in a slice that enqueueRun appends to and the dispatcher takes whole,
 // swapping in the previous batch's array as the new queue: a steady stream
 // allocates nothing, and a watcher that never sees a live event never
 // allocates a queue at all (retained-window replay streams from pinned
@@ -37,7 +37,7 @@ type ring struct {
 	cond *sync.Cond
 
 	evs []ChangeEvent // queued events in enqueue order
-	max int           // bound on len(evs); enqueue past it fails
+	max int           // bound on len(evs); enqueueRun past it fails
 
 	state     ringState
 	resync    *ResyncEvent // pending resync, nil when none
@@ -65,36 +65,52 @@ func newRing(max int) *ring {
 	return r
 }
 
-// enqueue appends one event; it reports false when max events are queued
-// (the caller lags the watcher out). Events offered to a lagged or cancelled
-// ring are dropped and reported true: a lagged watcher's pending resync
-// covers them, and a cancelled watcher is going away.
-func (r *ring) enqueue(ev ChangeEvent) bool {
+// enqueueRun appends the events of run above from — one interval's run of
+// a fan-out walk — under one lock, with at most one signal and one governor
+// charge. It returns how many it queued and false when the queue filled
+// first (the caller lags the watcher out). moved also marks the frontier as
+// moving, for an ingest call that raises it in the same lock hold: the wake
+// that follows then costs one atomic load. Runs offered to a lagged or
+// cancelled ring are dropped and reported true: a lagged watcher's pending
+// resync covers them, and a cancelled watcher is going away.
+func (r *ring) enqueueRun(run []ChangeEvent, from Version, moved bool) (int, bool) {
 	r.mu.Lock()
 	if r.state != ringOpen {
 		r.mu.Unlock()
-		return true
+		return 0, true
 	}
-	if len(r.evs) >= r.max {
-		r.mu.Unlock()
-		return false
-	}
-	r.evs = append(r.evs, ev)
-	r.touched++
-	if len(r.evs) > r.high {
-		r.high = len(r.evs)
-	}
-	if len(r.evs) == 1 {
-		r.cond.Signal()
-	}
+	n0, ok := len(r.evs), true
 	var fp int64
-	if r.acct != nil {
-		fp = int64(len(ev.Key)+len(ev.Mut.Value)) + segEventOverhead
-		r.heldBytes += fp
+	for i := range run {
+		ev := &run[i]
+		if ev.Version <= from {
+			continue
+		}
+		if len(r.evs) >= r.max {
+			ok = false
+			break
+		}
+		r.evs = append(r.evs, *ev)
+		fp += evFootprint(ev)
 	}
+	n := len(r.evs) - n0
+	if n > 0 {
+		r.touched += uint64(n)
+		r.high = max(r.high, len(r.evs))
+		if moved {
+			r.moved.Store(true)
+		}
+		if n0 == 0 {
+			r.cond.Signal()
+		}
+	}
+	if r.acct == nil {
+		fp = 0
+	}
+	r.heldBytes += fp
 	r.mu.Unlock()
 	r.acct.Charge(fp)
-	return true
+	return n, ok
 }
 
 // wake tells the dispatcher the frontier moved. It is idempotent: a set flag

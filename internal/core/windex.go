@@ -1,56 +1,57 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"unbundle/internal/keyspace"
 )
 
-// watcherIndex answers "which watchers cover key k?" in O(log S + matches)
-// instead of scanning every watcher per event. It keeps the watched portion
-// of the keyspace as sorted, disjoint segments, each carrying the id set of
-// watchers covering it; watch ranges split segments at their boundaries, the
-// way the hub's frontier map splits version segments.
+// watcherIndex answers "which ring watchers cover key k?" for the fan-out
+// walk. It partitions the keyspace into intervals at every watch boundary:
+// lows holds their lower bounds, ascending from "", and ws[i] the watchers
+// covering [lows[i], lows[i+1]) — nil for a gap no watcher covers. Append is
+// hot and Watch, cancel and lag-out are rare, so the flat arrays are rebuilt
+// on every registration change and the walk reads them with no map lookup
+// and no callback.
 //
-// Ids are kept as small sorted slices, not maps: the per-event fanout
-// iterates them on the append hot path, and ranging over a one-element map
-// costs more than the rest of the lookup combined.
+// A watcher list is copy-on-write, sorted by id: add and remove replace it,
+// never edit it, so a list read before a lag-out stays valid after it.
 //
 // Not safe for concurrent use; the hub's lock guards it.
 type watcherIndex struct {
-	segs []idxSegment
+	lows []keyspace.Key
+	ws   [][]*hubWatcher
 }
 
-type idxSegment struct {
-	r   keyspace.Range
-	ids []int64 // sorted ascending
-}
-
-// withID returns ids plus id (ids is not mutated; the result may share no
-// memory with it, since sibling segments alias the same backing slice).
-func withID(ids []int64, id int64) []int64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
+// withWatcher returns ws plus w (ws is not mutated; neighbouring intervals
+// may share its backing array).
+func withWatcher(ws []*hubWatcher, w *hubWatcher) []*hubWatcher {
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].id >= w.id })
+	if i < len(ws) && ws[i] == w {
+		return ws
 	}
-	out := make([]int64, 0, len(ids)+1)
-	out = append(out, ids[:i]...)
-	out = append(out, id)
-	return append(out, ids[i:]...)
+	out := make([]*hubWatcher, 0, len(ws)+1)
+	out = append(out, ws[:i]...)
+	out = append(out, w)
+	return append(out, ws[i:]...)
 }
 
-// withoutID returns ids minus id (copying; see withID).
-func withoutID(ids []int64, id int64) []int64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i == len(ids) || ids[i] != id {
-		return ids
+// withoutWatcher returns ws minus w (copying; see withWatcher).
+func withoutWatcher(ws []*hubWatcher, w *hubWatcher) []*hubWatcher {
+	i := sort.Search(len(ws), func(i int) bool { return ws[i].id >= w.id })
+	if i == len(ws) || ws[i] != w {
+		return ws
 	}
-	out := make([]int64, 0, len(ids)-1)
-	out = append(out, ids[:i]...)
-	return append(out, ids[i+1:]...)
+	if len(ws) == 1 {
+		return nil
+	}
+	out := make([]*hubWatcher, 0, len(ws)-1)
+	out = append(out, ws[:i]...)
+	return append(out, ws[i+1:]...)
 }
 
-func sameIDs(a, b []int64) bool {
+func sameWatchers(a, b []*hubWatcher) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -62,91 +63,86 @@ func sameIDs(a, b []int64) bool {
 	return true
 }
 
-// add registers id as covering r.
-func (x *watcherIndex) add(id int64, r keyspace.Range) {
+// find returns the interval holding k, or -1 while the index is empty.
+func (x *watcherIndex) find(k keyspace.Key) int {
+	lo, hi := 0, len(x.lows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x.lows[m] <= k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
+// holds reports whether interval i holds k.
+func (x *watcherIndex) holds(i int, k keyspace.Key) bool {
+	return x.lows[i] <= k && (i+1 == len(x.lows) || k < x.lows[i+1])
+}
+
+// split makes k an interval boundary.
+func (x *watcherIndex) split(k keyspace.Key) {
+	if k >= keyspace.Inf {
+		return
+	}
+	i := x.find(k)
+	if x.lows[i] == k {
+		return
+	}
+	x.lows = slices.Insert(x.lows, i+1, k)
+	x.ws = slices.Insert(x.ws, i+1, x.ws[i])
+}
+
+// span returns the intervals [i, j) overlapping r.
+func (x *watcherIndex) span(r keyspace.Range) (int, int) {
+	if r.Empty() || len(x.lows) == 0 {
+		return 0, 0
+	}
+	i := x.find(r.Low)
+	j := i + 1
+	for j < len(x.lows) && (r.High >= keyspace.Inf || x.lows[j] < r.High) {
+		j++
+	}
+	return i, j
+}
+
+// add registers w as covering r.
+func (x *watcherIndex) add(w *hubWatcher, r keyspace.Range) {
 	if r.Empty() {
 		return
 	}
-	out := make([]idxSegment, 0, len(x.segs)+2)
-	uncovered := keyspace.NewRangeSet(r)
-	for _, s := range x.segs {
-		inter := s.r.Intersect(r)
-		if inter.Empty() {
-			out = append(out, s)
+	if len(x.lows) == 0 {
+		x.lows, x.ws = []keyspace.Key{""}, [][]*hubWatcher{nil}
+	}
+	x.split(r.Low)
+	x.split(r.High)
+	i, j := x.span(r)
+	for ; i < j; i++ {
+		x.ws[i] = withWatcher(x.ws[i], w)
+	}
+}
+
+// remove deregisters w from r (its registered range), then merges
+// neighbouring intervals whose lists are now the same, so boundaries left
+// behind by departed watchers do not accumulate.
+func (x *watcherIndex) remove(w *hubWatcher, r keyspace.Range) {
+	i, j := x.span(r)
+	for ; i < j; i++ {
+		x.ws[i] = withoutWatcher(x.ws[i], w)
+	}
+	n := 0
+	for k := range x.lows {
+		if n > 0 && sameWatchers(x.ws[n-1], x.ws[k]) {
 			continue
 		}
-		uncovered = uncovered.SubtractRange(s.r)
-		for _, rest := range keyspace.NewRangeSet(s.r).SubtractRange(r).Ranges() {
-			out = append(out, idxSegment{r: rest, ids: s.ids})
-		}
-		out = append(out, idxSegment{r: inter, ids: withID(s.ids, id)})
+		x.lows[n], x.ws[n] = x.lows[k], x.ws[k]
+		n++
 	}
-	for _, rest := range uncovered.Ranges() {
-		out = append(out, idxSegment{r: rest, ids: []int64{id}})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].r.Low < out[j].r.Low })
-	x.segs = out
+	clear(x.ws[n:])
+	x.lows, x.ws = x.lows[:n], x.ws[:n]
 }
 
-// remove deregisters id from r (its original watch range).
-func (x *watcherIndex) remove(id int64, r keyspace.Range) {
-	if r.Empty() {
-		return
-	}
-	out := x.segs[:0]
-	for _, s := range x.segs {
-		if s.r.Overlaps(r) {
-			s.ids = withoutID(s.ids, id)
-			if len(s.ids) == 0 {
-				continue
-			}
-		}
-		// Merge with the previous segment when the id sets are identical, so
-		// boundaries left behind by removed watchers do not accumulate.
-		if n := len(out); n > 0 && out[n-1].r.Adjacent(s.r) && sameIDs(out[n-1].ids, s.ids) {
-			out[n-1].r = out[n-1].r.Union(s.r)
-			continue
-		}
-		out = append(out, s)
-	}
-	x.segs = out
-}
-
-// lookup calls fn for every watcher id covering k.
-func (x *watcherIndex) lookup(k keyspace.Key, fn func(id int64)) {
-	i := sort.Search(len(x.segs), func(i int) bool {
-		s := x.segs[i]
-		return s.r.High >= keyspace.Inf || s.r.High > k
-	})
-	if i < len(x.segs) && x.segs[i].r.Contains(k) {
-		for _, id := range x.segs[i].ids {
-			fn(id)
-		}
-	}
-}
-
-// overlapping calls fn for every watcher id whose coverage overlaps r, once
-// per overlapping segment: a watcher whose range was split across several
-// segments is reported once for each, which suits an idempotent fn. Like
-// lookup, the walk starts at the first overlapping segment by binary search
-// and stops at the first segment past r, so cost scales with overlap, not
-// index size.
-func (x *watcherIndex) overlapping(r keyspace.Range, fn func(id int64)) {
-	if r.Empty() {
-		return
-	}
-	i := sort.Search(len(x.segs), func(i int) bool {
-		s := x.segs[i]
-		return s.r.High >= keyspace.Inf || s.r.High > r.Low
-	})
-	// Every segment from i on ends past r.Low, so it overlaps r exactly
-	// when it starts before r.High.
-	for ; i < len(x.segs) && (r.High >= keyspace.Inf || x.segs[i].r.Low < r.High); i++ {
-		for _, id := range x.segs[i].ids {
-			fn(id)
-		}
-	}
-}
-
-// size returns the segment count (for tests and stats).
-func (x *watcherIndex) size() int { return len(x.segs) }
+// size returns the interval count (for tests).
+func (x *watcherIndex) size() int { return len(x.lows) }

@@ -8,8 +8,9 @@ import (
 	"unbundle/internal/keyspace"
 )
 
-// TestQuickWatcherIndexMatchesNaive: under random add/remove traffic, index
-// lookups agree with a naive scan over the live watch set.
+// TestQuickWatcherIndexMatchesNaive: under random add/remove traffic, the
+// interval find holds a key and lists exactly the watchers a naive scan over
+// the live watch set finds covering it.
 func TestQuickWatcherIndexMatchesNaive(t *testing.T) {
 	probe := []keyspace.Key{"", "a", "b", "c", "d", "e", "f", "g", "h", "zz"}
 	letters := "abcdefgh"
@@ -29,21 +30,27 @@ func TestQuickWatcherIndexMatchesNaive(t *testing.T) {
 				if r.Empty() {
 					continue
 				}
-				x.add(nextID, r)
+				x.add(&hubWatcher{id: nextID}, r)
 				live[nextID] = r
 				nextID++
 			} else {
 				// Remove a random live watcher.
 				for id, r := range live {
-					x.remove(id, r)
+					x.remove(watcherIn(&x, id), r)
 					delete(live, id)
 					break
 				}
 			}
-			// Compare lookups against the naive model.
+			// Compare finds against the naive model.
 			for _, k := range probe {
+				at := x.find(k)
+				if !x.holds(at, k) {
+					return false
+				}
 				got := map[int64]bool{}
-				x.lookup(k, func(id int64) { got[id] = true })
+				for _, w := range x.ws[at] {
+					got[w.id] = true
+				}
 				want := map[int64]bool{}
 				for id, r := range live {
 					if r.Contains(k) {
@@ -67,9 +74,9 @@ func TestQuickWatcherIndexMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestQuickWatcherIndexOverlappingMatchesNaive: the overlap walk reports
+// TestQuickWatcherIndexOverlappingMatchesNaive: the intervals a span returns list
 // exactly the watchers a naive overlap scan finds — each at least once, and
-// no more often than its range was split into index segments.
+// no more often than there are intervals.
 func TestQuickWatcherIndexOverlappingMatchesNaive(t *testing.T) {
 	letters := "abcdefgh"
 	f := func(seed int64) bool {
@@ -96,19 +103,24 @@ func TestQuickWatcherIndexOverlappingMatchesNaive(t *testing.T) {
 				if r.Empty() {
 					continue
 				}
-				x.add(nextID, r)
+				x.add(&hubWatcher{id: nextID}, r)
 				live[nextID] = r
 				nextID++
 			} else {
 				for id, r := range live {
-					x.remove(id, r)
+					x.remove(watcherIn(&x, id), r)
 					delete(live, id)
 					break
 				}
 			}
 			probe := randRange()
 			got := map[int64]int{}
-			x.overlapping(probe, func(id int64) { got[id]++ })
+			i, j := x.span(probe)
+			for _, list := range x.ws[i:j] {
+				for _, w := range list {
+					got[w.id]++
+				}
+			}
 			want := map[int64]bool{}
 			for id, r := range live {
 				if !r.Intersect(probe).Empty() {
@@ -131,23 +143,39 @@ func TestQuickWatcherIndexOverlappingMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestWatcherIndexSegmentsBounded: removing watchers merges segments back,
+// watcherIn returns the indexed watcher with the given id, or nil.
+func watcherIn(x *watcherIndex, id int64) *hubWatcher {
+	for _, list := range x.ws {
+		for _, w := range list {
+			if w.id == id {
+				return w
+			}
+		}
+	}
+	return nil
+}
+
+// TestWatcherIndexSegmentsBounded: removing watchers merges intervals back,
 // so boundaries do not accumulate from departed watchers.
 func TestWatcherIndexSegmentsBounded(t *testing.T) {
 	var x watcherIndex
 	// One long-lived watcher plus heavy churn.
-	x.add(0, keyspace.Full())
+	survivor := &hubWatcher{id: 0}
+	x.add(survivor, keyspace.Full())
 	for i := int64(1); i <= 500; i++ {
 		r := keyspace.NumericRange(int(i%100)*10, int(i%100)*10+10)
-		x.add(i, r)
-		x.remove(i, r)
+		w := &hubWatcher{id: i}
+		x.add(w, r)
+		x.remove(w, r)
 	}
 	if got := x.size(); got > 3 {
-		t.Fatalf("segments after churn = %d, want <= 3", got)
+		t.Fatalf("intervals after churn = %d, want <= 3", got)
 	}
 	// The survivor still works.
 	found := false
-	x.lookup(keyspace.NumericKey(555), func(id int64) { found = found || id == 0 })
+	for _, w := range x.ws[x.find(keyspace.NumericKey(555))] {
+		found = found || w == survivor
+	}
 	if !found {
 		t.Fatal("long-lived watcher lost during churn")
 	}

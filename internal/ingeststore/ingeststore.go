@@ -78,6 +78,7 @@ type Store struct {
 	seq    core.Version
 	taps   []tapEntry
 	nextID int
+	one    [1]core.ChangeEvent // Append's feed batch, reused under mu
 
 	appends   int64
 	bytes     int64
@@ -115,18 +116,17 @@ func (s *Store) Append(series keyspace.Key, payload []byte) Event {
 	if s.tracer.Enabled() {
 		change.Trace = s.tracer.Begin(change.Key, uint64(ev.Seq))
 	}
-	for _, t := range s.taps {
-		_ = t.ing.Append(change)
-		_ = t.ing.Progress(core.ProgressEvent{Range: keyspace.Full(), Version: ev.Seq})
-	}
+	s.one[0] = change
+	s.feedLocked(s.one[:])
+	s.one[0] = core.ChangeEvent{}
 	s.mu.Unlock()
 	return ev
 }
 
 // AppendBatch ingests a batch of events into one series under a single lock
-// acquisition, feeding the change feed one AppendBatch plus one progress
-// mark per tap instead of a call pair per event — the ingest-side analogue
-// of the hub's batched ingest contract.
+// acquisition, feeding the change feed one commit per tap instead of a call
+// pair per event — the ingest-side analogue of the hub's batched ingest
+// contract.
 func (s *Store) AppendBatch(series keyspace.Key, payloads [][]byte) []Event {
 	if len(payloads) == 0 {
 		return nil
@@ -148,21 +148,35 @@ func (s *Store) AppendBatch(series keyspace.Key, payloads [][]byte) []Event {
 		}
 		changes = append(changes, change)
 	}
-	for _, t := range s.taps {
-		_ = t.ing.AppendBatch(changes)
-		_ = t.ing.Progress(core.ProgressEvent{Range: keyspace.Full(), Version: s.seq})
-	}
+	s.feedLocked(changes)
 	s.mu.Unlock()
 	return out
+}
+
+// feedLocked hands every tap one commit: changes, then a progress mark
+// through the last assigned sequence number — in one call to a tap that
+// takes commits. Caller holds s.mu.
+func (s *Store) feedLocked(changes []core.ChangeEvent) {
+	p := core.ProgressEvent{Range: keyspace.Full(), Version: s.seq}
+	for _, t := range s.taps {
+		if t.ci != nil {
+			_ = t.ci.AppendCommit(changes, p)
+			continue
+		}
+		_ = t.ing.AppendBatch(changes)
+		_ = t.ing.Progress(p)
+	}
 }
 
 // tapEntry identifies an attached ingester for detachment.
 type tapEntry struct {
 	id  int
 	ing core.Ingester
+	ci  core.CommitIngester // ing's commit path, nil when it has none
 }
 
-// AttachIngester feeds all future events (and progress) into ing. An ing
+// AttachIngester feeds all future events (and progress) into ing, one
+// AppendCommit per append when ing is a core.CommitIngester. An ing
 // that implements core.FeedStart is told the last assigned sequence number
 // first, under the lock that assigns them.
 func (s *Store) AttachIngester(ing core.Ingester) (detach func()) {
@@ -173,7 +187,8 @@ func (s *Store) AttachIngester(ing core.Ingester) (detach func()) {
 	}
 	id := s.nextID
 	s.nextID++
-	s.taps = append(s.taps, tapEntry{id: id, ing: ing})
+	ci, _ := ing.(core.CommitIngester)
+	s.taps = append(s.taps, tapEntry{id: id, ing: ing, ci: ci})
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()

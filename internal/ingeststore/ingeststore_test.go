@@ -250,10 +250,10 @@ func TestAppendBatch(t *testing.T) {
 	var mu sync.Mutex
 	var got []core.ChangeEvent
 	var progress []core.ProgressEvent
-	detach := s.AttachIngester(core.Batch(tapFuncs{
+	detach := s.AttachIngester(tapFuncs{
 		app:  func(ev core.ChangeEvent) error { mu.Lock(); got = append(got, ev); mu.Unlock(); return nil },
 		prog: func(p core.ProgressEvent) error { mu.Lock(); progress = append(progress, p); mu.Unlock(); return nil },
-	}))
+	})
 	defer detach()
 
 	evs := s.AppendBatch("sensor/1", [][]byte{[]byte("a"), []byte("b"), []byte("c")})

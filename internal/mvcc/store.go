@@ -102,6 +102,7 @@ type Store struct {
 type tap struct {
 	id  int
 	ing core.Ingester
+	ci  core.CommitIngester // ing's commit path, nil when it has none
 	rng keyspace.Range
 }
 
@@ -228,9 +229,9 @@ func (s *Store) applyLocked(writes []write) core.Version {
 	}
 	// CDC emission, in commit order, then a progress mark: with the commit
 	// lock held, every change at or below v has been emitted, so the
-	// progress claim is exact. The whole commit goes out as one batch per
-	// tap — one synchronization round-trip into the watch system per commit
-	// instead of one per written key.
+	// progress claim is exact. The whole commit goes out as one entry per
+	// tap that takes commits — one synchronization round-trip into the
+	// watch system per commit — and as one batch plus the mark otherwise.
 	if len(s.batch) > 0 {
 		for _, t := range s.taps {
 			out := s.batch
@@ -250,8 +251,13 @@ func (s *Store) applyLocked(writes []write) core.Version {
 			if len(out) == 0 {
 				continue
 			}
+			p := core.ProgressEvent{Range: t.rng, Version: v}
+			if t.ci != nil {
+				_ = t.ci.AppendCommit(out, p)
+				continue
+			}
 			_ = t.ing.AppendBatch(out)
-			_ = t.ing.Progress(core.ProgressEvent{Range: t.rng, Version: v})
+			_ = t.ing.Progress(p)
 		}
 	}
 	return v
@@ -273,7 +279,8 @@ func (s *Store) EmitProgress(r keyspace.Range) {
 }
 
 // AttachCDC registers ing to receive all future change events for keys in r,
-// with a progress event after each commit. It returns a detach function.
+// with a progress event after each commit — folded into one call when ing
+// is a core.CommitIngester. It returns a detach function.
 // This is the producer-store half of Figure 4: the store conveys its change
 // feed into an external watch system through the Ingester contract. An ing
 // that implements core.FeedStart is told the current version first, under
@@ -288,7 +295,8 @@ func (s *Store) AttachCDC(r keyspace.Range, ing core.Ingester) (detach func()) {
 	if n := len(s.taps); n > 0 {
 		id = s.taps[n-1].id + 1
 	}
-	s.taps = append(s.taps, tap{id: id, ing: ing, rng: r})
+	ci, _ := ing.(core.CommitIngester)
+	s.taps = append(s.taps, tap{id: id, ing: ing, ci: ci, rng: r})
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()

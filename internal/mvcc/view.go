@@ -72,34 +72,47 @@ type transformIngester struct {
 }
 
 func (t transformIngester) Append(ev core.ChangeEvent) error {
-	if ev.Mut.Op == core.OpPut {
-		e, keep := t.view.transform(core.Entry{Key: ev.Key, Value: ev.Mut.Value, Version: ev.Version})
-		if !keep {
-			// The view hides this entry: consumers must see it disappear.
-			return t.ing.Append(core.ChangeEvent{Key: ev.Key, Mut: core.Mutation{Op: core.OpDelete}, Version: ev.Version, Trace: ev.Trace})
-		}
-		return t.ing.Append(core.ChangeEvent{Key: e.Key, Mut: core.Mutation{Op: core.OpPut, Value: e.Value}, Version: ev.Version, Trace: ev.Trace})
-	}
-	return t.ing.Append(ev)
+	return t.ing.Append(t.rewriteOne(ev))
 }
 
 func (t transformIngester) AppendBatch(evs []core.ChangeEvent) error {
-	// Transform into a fresh slice (the batch is rewritten, and the
-	// downstream ingester must not see the caller's backing array mutated).
+	return t.ing.AppendBatch(t.rewrite(evs))
+}
+
+// AppendCommit passes the rewritten commit on whole to an ingester that
+// takes commits, and as a batch plus its progress claim otherwise.
+func (t transformIngester) AppendCommit(evs []core.ChangeEvent, p core.ProgressEvent) error {
+	out := t.rewrite(evs)
+	if ci, ok := t.ing.(core.CommitIngester); ok {
+		return ci.AppendCommit(out, p)
+	}
+	if err := t.ing.AppendBatch(out); err != nil {
+		return err
+	}
+	return t.ing.Progress(p)
+}
+
+// rewrite transforms evs into a fresh slice (the batch is rewritten, and the
+// downstream ingester must not see the caller's backing array mutated).
+func (t transformIngester) rewrite(evs []core.ChangeEvent) []core.ChangeEvent {
 	out := make([]core.ChangeEvent, 0, len(evs))
 	for _, ev := range evs {
-		if ev.Mut.Op == core.OpPut {
-			e, keep := t.view.transform(core.Entry{Key: ev.Key, Value: ev.Mut.Value, Version: ev.Version})
-			if !keep {
-				out = append(out, core.ChangeEvent{Key: ev.Key, Mut: core.Mutation{Op: core.OpDelete}, Version: ev.Version, Trace: ev.Trace})
-				continue
-			}
-			out = append(out, core.ChangeEvent{Key: e.Key, Mut: core.Mutation{Op: core.OpPut, Value: e.Value}, Version: ev.Version, Trace: ev.Trace})
-			continue
-		}
-		out = append(out, ev)
+		out = append(out, t.rewriteOne(ev))
 	}
-	return t.ing.AppendBatch(out)
+	return out
+}
+
+// rewriteOne passes ev through the view's transform.
+func (t transformIngester) rewriteOne(ev core.ChangeEvent) core.ChangeEvent {
+	if ev.Mut.Op != core.OpPut {
+		return ev
+	}
+	e, keep := t.view.transform(core.Entry{Key: ev.Key, Value: ev.Mut.Value, Version: ev.Version})
+	if !keep {
+		// The view hides this entry: consumers must see it disappear.
+		return core.ChangeEvent{Key: ev.Key, Mut: core.Mutation{Op: core.OpDelete}, Version: ev.Version, Trace: ev.Trace}
+	}
+	return core.ChangeEvent{Key: e.Key, Mut: core.Mutation{Op: core.OpPut, Value: e.Value}, Version: ev.Version, Trace: ev.Trace}
 }
 
 func (t transformIngester) Progress(p core.ProgressEvent) error {
