@@ -229,11 +229,16 @@ type hubShard struct {
 	segs  []*segment
 	count int // retained events, summed over the chain
 	// chargedBytes mirrors what this shard's retained window has charged the
-	// governor's hub account: evFootprint summed over evs[trim:] of the
-	// chain. Maintained under s.mu so Wipe/Close can release exactly.
+	// governor's hub account: evFootprint summed over every slot of the
+	// chain, trimmed ones included — an array keeps its trimmed payloads
+	// reachable until its segment retires, which releases its bytes.
+	// Maintained under s.mu so Wipe/Close can release exactly.
 	chargedBytes int64
 
-	evicted  atomic.Uint64 // max version among evicted events (read cross-shard)
+	// evicted is the max version among retired segments' events (and the
+	// feed start); horizonLocked adds the head segment's trimmed slots.
+	// Read cross-shard.
+	evicted  atomic.Uint64
 	maxSeen  atomic.Uint64 // max version ever appended here (read cross-shard)
 	frontier VersionMap
 	index    watcherIndex // shard-clipped ranges → the ring watchers covering them
@@ -405,47 +410,67 @@ func (h *Hub) lagOutLocked(w *hubWatcher, origin *hubShard, reason string, tid t
 	})
 }
 
-// evictOneLocked trims the shard's oldest retained event, dropping the
-// oldest segment once fully consumed; the caller holds s.mu and must have
-// checked s.count > 0. It returns the event's governor footprint (0 when
-// ungoverned); the caller settles chargedBytes and the hub account.
+// evictOneLocked trims the shard's oldest retained event without reading it,
+// dropping the oldest segment once fully consumed; the caller holds s.mu and
+// must have checked s.count > 0. It returns the governor footprint a retired
+// segment frees (0 for a plain trim, or when ungoverned); the caller settles
+// chargedBytes and the hub account.
 func (s *hubShard) evictOneLocked(h *Hub, fx *ingestFx) int64 {
 	oldest := s.segs[0]
-	ev := &oldest.evs[oldest.trim]
-	var freed int64
-	if h.segAcct != nil {
-		freed = evFootprint(ev)
-	}
-	if v := uint64(ev.Version); v > s.evicted.Load() {
-		s.evicted.Store(v)
-	}
 	oldest.trim++
 	s.count--
 	s.evictions++
 	fx.evictions++
 	fx.retained--
-	if oldest.sealed && oldest.trim == len(oldest.evs) {
-		s.segs[0] = nil
-		s.segs = s.segs[1:]
-		h.met.sealedSegments.Add(-1)
-		h.met.sealedBytes.Add(-oldest.bytes)
-		// One retire record stands in for the len(evs) per-event trims
-		// that consumed the segment — eviction is flight-recorded at
-		// segment granularity, never per event.
-		h.rec.Record(flightrec.KindSegmentRetire, flightrec.Event{
-			Comp: "core.hub", ID: int64(s.idx), Version: uint64(oldest.maxVer), N: int64(len(oldest.evs)),
-		})
-		oldest.release(&h.segPool)
+	if !oldest.sealed || oldest.trim < len(oldest.evs) {
+		return 0
 	}
+	s.segs[0] = nil
+	s.segs = s.segs[1:]
+	if v := uint64(oldest.maxVer); v > s.evicted.Load() {
+		s.evicted.Store(v)
+	}
+	h.met.sealedSegments.Add(-1)
+	h.met.sealedBytes.Add(-oldest.bytes)
+	// One retire record stands in for the len(evs) per-event trims that
+	// consumed the segment — eviction is flight-recorded at segment
+	// granularity, never per event.
+	h.rec.Record(flightrec.KindSegmentRetire, flightrec.Event{
+		Comp: "core.hub", ID: int64(s.idx), Version: uint64(oldest.maxVer), N: int64(len(oldest.evs)),
+	})
+	var freed int64
+	if h.segAcct != nil {
+		freed = oldest.bytes
+	}
+	oldest.release(&h.segPool)
 	return freed
 }
 
+// horizonLocked returns the highest version the shard no longer holds: the
+// retired segments' horizon raised by the head segment's trimmed slots.
+// Caller holds s.mu.
+func (s *hubShard) horizonLocked() Version {
+	v := Version(s.evicted.Load())
+	if len(s.segs) == 0 {
+		return v
+	}
+	g := s.segs[0]
+	trimmed := g.evs[:g.trim]
+	if g.sorted && len(trimmed) > 0 {
+		trimmed = trimmed[len(trimmed)-1:] // the last trimmed slot holds their max
+	}
+	for i := range trimmed {
+		v = max(v, trimmed[i].Version)
+	}
+	return v
+}
+
 // relieveEvict is the governor's first-rung reliever: accelerate retention
-// eviction down to the configured floor, shard by shard, until `need` bytes
-// are freed or every shard sits at its floor. Eviction never lags a live
-// watcher (a ring watcher got its copy at append time, and a reader pins
-// what it has not read); it only shortens the catch-up window new watchers
-// can replay.
+// eviction down to the configured floor, shard by shard, until retired
+// segments have freed `need` bytes or every shard sits at its floor.
+// Eviction never lags a live watcher (a ring watcher got its copy at append
+// time, and a reader pins what it has not read); it only shortens the
+// catch-up window new watchers can replay.
 func (h *Hub) relieveEvict(need int64) int64 {
 	var freed int64
 	var fx ingestFx
@@ -801,11 +826,11 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 			continue
 		}
 		s.mu.Lock()
-		if from < Version(s.evicted.Load()) {
+		if horizon := s.horizonLocked(); from < horizon {
 			// The history this watcher needs is gone from this shard's
 			// soft-state window: tell it immediately rather than delivering a
 			// gapped stream.
-			failReason = fmt.Sprintf("requested version %v predates retained history (evicted through %v)", from, Version(s.evicted.Load()))
+			failReason = fmt.Sprintf("requested version %v predates retained history (evicted through %v)", from, horizon)
 			s.mu.Unlock()
 			break
 		}

@@ -141,6 +141,84 @@ func TestHubPerKeyOrder(t *testing.T) {
 	}
 }
 
+// TestHubHorizonOfTrimmedHeadSegment: retention 200 gives 64-event segments,
+// so 300 appends to one shard retire the first segment and trim 36 slots of
+// the next, through version 100. A watch from 99 resyncs and a watch from 100
+// does not, whether the head segment's versions arrived sorted or in swapped
+// pairs (its last trimmed slot then holds 99). The governor's hub account
+// holds every slot of the chain until its segment retires: relieveEvict
+// reports the bytes of the segment it retires, and Wipe and Close return the
+// account to 0.
+func TestHubHorizonOfTrimmedHeadSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ver  func(i int) Version // version of the i-th append, from 1
+	}{
+		{"sorted", func(i int) Version { return Version(i) }},
+		{"swapped pairs", func(i int) Version { return Version(i + 1 - 2*(1-i%2)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gov := govern.NewGovernor(govern.Config{Budget: 1 << 30, Metrics: metrics.NewRegistry()})
+			defer gov.Close()
+			acct := gov.Account("hub")
+			h := NewHub(HubConfig{Shards: 1, Retention: 200, Metrics: metrics.NewRegistry(), Governor: gov})
+			defer h.Close()
+			var evs []ChangeEvent
+			for i := 1; i <= 300; i++ {
+				evs = append(evs, put(fmt.Sprintf("k%03d", i), tc.ver(i)))
+			}
+			if err := h.AppendBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+			footprint := func(evs []ChangeEvent) (n int64) {
+				for i := range evs {
+					n += evFootprint(&evs[i])
+				}
+				return n
+			}
+			if got, want := acct.Used(), footprint(evs[64:]); got != want {
+				t.Fatalf("hub account %d, want %d: the chain's slots from event 65 on", got, want)
+			}
+
+			var gapped collector
+			cancel, err := h.Watch(keyspace.Full(), 99, &gapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+			waitUntil(t, "resync from 99", func() bool { _, _, rs := gapped.snapshot(); return len(rs) == 1 })
+			var whole collector
+			cancel2, err := h.Watch(keyspace.Full(), 100, &whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel2()
+			waitUntil(t, "replay from 100", func() bool { evs, _, _ := whole.snapshot(); return len(evs) == 200 })
+			if _, _, rs := whole.snapshot(); len(rs) != 0 {
+				t.Fatalf("watch from the newest trimmed version resynced: %v", rs)
+			}
+
+			if got, want := h.relieveEvict(1), footprint(evs[64:128]); got != want {
+				t.Fatalf("relieveEvict freed %d, want %d: the second segment, retired", got, want)
+			}
+			if got, want := acct.Used(), footprint(evs[128:]); got != want {
+				t.Fatalf("hub account %d after relief, want %d", got, want)
+			}
+			h.Wipe()
+			if got := acct.Used(); got != 0 {
+				t.Fatalf("hub account %d after Wipe, want 0", got)
+			}
+			if err := h.AppendBatch(evs[:100]); err != nil {
+				t.Fatal(err)
+			}
+			h.Close()
+			if got := acct.Used(); got != 0 {
+				t.Fatalf("hub account %d after Close, want 0", got)
+			}
+		})
+	}
+}
+
 func TestHubWatchFromEvictedHistoryResyncs(t *testing.T) {
 	h := NewHub(HubConfig{Retention: 10})
 	defer h.Close()

@@ -81,8 +81,12 @@ func prefixEnd(p Key) Key {
 	return Inf // p is all 0xff bytes: no upper bound below infinity.
 }
 
-// unbounded reports whether the High bound means +infinity.
-func (r Range) unbounded() bool { return r.High >= Inf }
+// unbounded reports whether the High bound means +infinity. The equality
+// test is one inlined compare against a constant; only a High starting with
+// 0xff, which could still sort at or above Inf, pays the ordered compare.
+func (r Range) unbounded() bool {
+	return r.High == Inf || (len(r.High) > 0 && r.High[0] == 0xff && r.High > Inf)
+}
 
 // Empty reports whether the range contains no keys.
 func (r Range) Empty() bool {

@@ -23,6 +23,10 @@ func TestRangeContains(t *testing.T) {
 		{"full contains min", Full(), "", true},
 		{"full contains anything", Full(), "zzzz", true},
 		{"unbounded high", Range{"m", Inf}, "zzzz", true},
+		{"high == Inf contains above Inf", Range{"m", Inf}, Inf + "\x01", true},
+		{"high > Inf is unbounded", Range{"m", Inf + "\x00"}, Inf + "\x01", true},
+		{"high 0xff x7 is bounded", Range{"m", "\xff\xff\xff\xff\xff\xff\xff"}, "\xff\xff\xff\xff\xff\xff\xff", false},
+		{"high 0xff x7 contains below", Range{"m", "\xff\xff\xff\xff\xff\xff\xff"}, "\xff\xff\xff\xff\xff\xff\xfe", true},
 		{"point contains key", Point("k"), "k", true},
 		{"point excludes successor", Point("k"), Key("k").Next(), false},
 	}
@@ -364,5 +368,29 @@ func BenchmarkRangeSetContains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Contains(NumericKey(i % 10240))
+	}
+}
+
+var containsSink bool
+
+// BenchmarkRangeContains is the per-event filter call: the full range (the
+// common watch) and a bounded one.
+func BenchmarkRangeContains(b *testing.B) {
+	keys := make([]Key, 1024)
+	for i := range keys {
+		keys[i] = NumericKey(i * 97)
+	}
+	for _, bc := range []struct {
+		name string
+		r    Range
+	}{
+		{"full", Full()},
+		{"bounded", NumericRange(1000, 50000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				containsSink = bc.r.Contains(keys[i&1023])
+			}
+		})
 	}
 }

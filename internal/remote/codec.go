@@ -139,7 +139,9 @@ var (
 )
 
 // binEncoder is the frame encoder: one scratch buffer, one key dictionary, two
-// buffered writes per frame. Not safe for concurrent use — each connection
+// buffered writes per frame. Each frame method appends its payload to a local
+// slice over the scratch buffer, and frame stores it back once, so no varint
+// stores into the heap. Not safe for concurrent use — each connection
 // direction owns exactly one (the server's write loop, the client's encMu).
 type binEncoder struct {
 	w    *bufio.Writer
@@ -152,60 +154,54 @@ func newBinEncoder(w *bufio.Writer) *binEncoder {
 	return &binEncoder{w: w, keys: make(map[keyspace.Key]uint32)}
 }
 
-func (e *binEncoder) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *binEncoder) z(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
-
-func (e *binEncoder) str(s string) {
-	e.u(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-// bytes1 is the nil-preserving byte-slice encoding: 0 = nil, n+1 = n bytes.
-func (e *binEncoder) bytes1(b []byte) {
-	if b == nil {
-		e.u(0)
-		return
+// appendBytes1 appends the nil-preserving byte-slice encoding: 0 = nil, n+1 =
+// n bytes.
+func appendBytes1(b, v []byte) []byte {
+	if v == nil {
+		return append(b, 0)
 	}
-	e.u(uint64(len(b)) + 1)
-	e.buf = append(e.buf, b...)
+	b = binary.AppendUvarint(b, uint64(len(v))+1)
+	return append(b, v...)
 }
 
-// frame writes the scratch payload as one tagged frame.
-func (e *binEncoder) frame(tag uint8) error {
+// frame writes payload b as one tagged frame and keeps b's array as the
+// scratch buffer for the next frame.
+func (e *binEncoder) frame(tag uint8, b []byte) error {
+	e.buf = b
 	e.hdr = append(e.hdr[:0], tag)
-	e.hdr = binary.AppendUvarint(e.hdr, uint64(len(e.buf)))
+	e.hdr = binary.AppendUvarint(e.hdr, uint64(len(b)))
 	if _, err := e.w.Write(e.hdr); err != nil {
 		return err
 	}
-	if len(e.buf) == 0 {
+	if len(b) == 0 {
 		return nil
 	}
-	_, err := e.w.Write(e.buf)
+	_, err := e.w.Write(b)
 	return err
 }
 
 func (e *binEncoder) hello(h *helloMsg) error {
-	e.buf = e.buf[:0]
-	e.u(uint64(h.Version))
-	e.z(h.HeartbeatMillis)
-	return e.frame(tagHello)
+	b := binary.AppendUvarint(e.buf[:0], uint64(h.Version))
+	b = binary.AppendVarint(b, h.HeartbeatMillis)
+	return e.frame(tagHello, b)
 }
 
 func (e *binEncoder) heartbeat() error {
-	e.buf = e.buf[:0]
-	return e.frame(tagHeartbeat)
+	return e.frame(tagHeartbeat, e.buf[:0])
 }
 
 func (e *binEncoder) shutdown(m *shutdownMsg) error {
-	e.buf = e.buf[:0]
-	e.str(m.Reason)
-	return e.frame(tagShutdown)
+	return e.frame(tagShutdown, appendStr(e.buf[:0], m.Reason))
 }
 
 func (e *binEncoder) eventBatch(id uint64, evs []core.ChangeEvent) error {
-	e.buf = e.buf[:0]
-	e.u(id)
-	e.u(uint64(len(evs)))
+	b := binary.AppendUvarint(e.buf[:0], id)
+	b = binary.AppendUvarint(b, uint64(len(evs)))
 	prev := core.NoVersion
 	for i := range evs {
 		ev := &evs[i]
@@ -220,57 +216,52 @@ func (e *binEncoder) eventBatch(id uint64, evs []core.ChangeEvent) error {
 		if ev.Mut.Value != nil {
 			flags |= evHasValue
 		}
-		e.buf = append(e.buf, flags)
+		b = append(b, flags)
 		if known {
-			e.u(uint64(idx))
+			b = binary.AppendUvarint(b, uint64(idx))
 		} else {
-			e.str(string(ev.Key))
+			b = appendStr(b, string(ev.Key))
 			if len(e.keys) < keyDictCap {
 				e.keys[ev.Key] = uint32(len(e.keys))
 			}
 		}
-		e.z(int64(ev.Version) - int64(prev))
+		b = binary.AppendVarint(b, int64(ev.Version)-int64(prev))
 		prev = ev.Version
 		if ev.Mut.Value != nil {
-			e.u(uint64(len(ev.Mut.Value)))
-			e.buf = append(e.buf, ev.Mut.Value...)
+			b = binary.AppendUvarint(b, uint64(len(ev.Mut.Value)))
+			b = append(b, ev.Mut.Value...)
 		}
 		if ev.Trace != 0 {
-			e.u(uint64(ev.Trace))
+			b = binary.AppendUvarint(b, uint64(ev.Trace))
 		}
 	}
-	return e.frame(tagEventBatch)
+	return e.frame(tagEventBatch, b)
 }
 
 // eventRepeat sends the previous event batch again, to watch id.
 func (e *binEncoder) eventRepeat(id uint64) error {
-	e.buf = e.buf[:0]
-	e.u(id)
-	return e.frame(tagEventRepeat)
+	return e.frame(tagEventRepeat, binary.AppendUvarint(e.buf[:0], id))
 }
 
 func (e *binEncoder) progress(id uint64, p core.ProgressEvent) error {
-	e.buf = e.buf[:0]
-	e.u(id)
-	e.str(string(p.Range.Low))
-	e.str(string(p.Range.High))
-	e.u(uint64(p.Version))
-	return e.frame(tagProgress)
+	b := binary.AppendUvarint(e.buf[:0], id)
+	b = appendStr(b, string(p.Range.Low))
+	b = appendStr(b, string(p.Range.High))
+	b = binary.AppendUvarint(b, uint64(p.Version))
+	return e.frame(tagProgress, b)
 }
 
 func (e *binEncoder) resync(id uint64, r core.ResyncEvent) error {
-	e.buf = e.buf[:0]
-	e.u(id)
-	e.str(string(r.Range.Low))
-	e.str(string(r.Range.High))
-	e.u(uint64(r.MinVersion))
-	e.str(r.Reason)
-	return e.frame(tagResync)
+	b := binary.AppendUvarint(e.buf[:0], id)
+	b = appendStr(b, string(r.Range.Low))
+	b = appendStr(b, string(r.Range.High))
+	b = binary.AppendUvarint(b, uint64(r.MinVersion))
+	b = appendStr(b, r.Reason)
+	return e.frame(tagResync, b)
 }
 
 func (e *binEncoder) snapChunk(ch *snapChunk) error {
-	e.buf = e.buf[:0]
-	e.u(ch.ID)
+	b := binary.AppendUvarint(e.buf[:0], ch.ID)
 	var flags byte
 	if ch.Last {
 		flags |= snapLast
@@ -278,53 +269,48 @@ func (e *binEncoder) snapChunk(ch *snapChunk) error {
 	if ch.Bound > 0 {
 		flags |= snapHasBound
 	}
-	e.buf = append(e.buf, flags)
+	b = append(b, flags)
 	if ch.Bound > 0 {
-		e.u(uint64(ch.Bound))
+		b = binary.AppendUvarint(b, uint64(ch.Bound))
 	}
-	e.u(uint64(ch.At))
-	e.str(ch.Err)
-	e.u(uint64(len(ch.Entries)))
+	b = binary.AppendUvarint(b, uint64(ch.At))
+	b = appendStr(b, ch.Err)
+	b = binary.AppendUvarint(b, uint64(len(ch.Entries)))
 	prev := core.NoVersion
 	for i := range ch.Entries {
 		en := &ch.Entries[i]
-		e.str(string(en.Key))
-		e.bytes1(en.Value)
-		e.z(int64(en.Version) - int64(prev))
+		b = appendStr(b, string(en.Key))
+		b = appendBytes1(b, en.Value)
+		b = binary.AppendVarint(b, int64(en.Version)-int64(prev))
 		prev = en.Version
 	}
-	return e.frame(tagSnapChunk)
+	return e.frame(tagSnapChunk, b)
 }
 
 func (e *binEncoder) overloaded(m *overloadedMsg) error {
-	e.buf = e.buf[:0]
-	e.u(m.ID)
-	e.z(m.RetryAfterMillis)
-	e.str(m.Reason)
-	return e.frame(tagOverloaded)
+	b := binary.AppendUvarint(e.buf[:0], m.ID)
+	b = binary.AppendVarint(b, m.RetryAfterMillis)
+	b = appendStr(b, m.Reason)
+	return e.frame(tagOverloaded, b)
 }
 
 func (e *binEncoder) watch(w *watchReq) error {
-	e.buf = e.buf[:0]
-	e.u(w.ID)
-	e.str(string(w.Low))
-	e.str(string(w.High))
-	e.u(uint64(w.From))
-	return e.frame(tagWatch)
+	b := binary.AppendUvarint(e.buf[:0], w.ID)
+	b = appendStr(b, string(w.Low))
+	b = appendStr(b, string(w.High))
+	b = binary.AppendUvarint(b, uint64(w.From))
+	return e.frame(tagWatch, b)
 }
 
 func (e *binEncoder) cancelWatch(cr *cancelReq) error {
-	e.buf = e.buf[:0]
-	e.u(cr.ID)
-	return e.frame(tagCancel)
+	return e.frame(tagCancel, binary.AppendUvarint(e.buf[:0], cr.ID))
 }
 
 func (e *binEncoder) snapshot(sr *snapshotReq) error {
-	e.buf = e.buf[:0]
-	e.u(sr.ID)
-	e.str(string(sr.Low))
-	e.str(string(sr.High))
-	return e.frame(tagSnapshot)
+	b := binary.AppendUvarint(e.buf[:0], sr.ID)
+	b = appendStr(b, string(sr.Low))
+	b = appendStr(b, string(sr.High))
+	return e.frame(tagSnapshot, b)
 }
 
 // binDecoder is the frame decoder: readTag pulls one whole frame (header +
@@ -333,7 +319,7 @@ func (e *binEncoder) snapshot(sr *snapshotReq) error {
 type binDecoder struct {
 	r        *bufio.Reader
 	buf      []byte         // frame payload scratch, reused across frames
-	cur      []byte         // unparsed remainder of the current payload
+	cur      cursor         // the payload readTag read; decodeSnapChunk advances it to the entries
 	keys     []keyspace.Key // receive-side key dictionary, mirrors the encoder's
 	snapKeys []byte         // one snapshot chunk's key bytes, gathered; reused across chunks
 	batched  bool           // an event batch was decoded, so a repeat has a run to repeat
@@ -366,117 +352,97 @@ func (d *binDecoder) readTag() (uint8, error) {
 	return tag, nil
 }
 
-func (d *binDecoder) u() (uint64, error) {
-	v, n := binary.Uvarint(d.cur)
+// cursor is the unparsed remainder of a payload. A decode method copies
+// binDecoder.cur into a local cursor, and each read returns the cursor
+// advanced past what it read: the cursor stays on the stack, so no varint
+// stores into the heap.
+type cursor []byte
+
+func (c cursor) u() (uint64, cursor, error) {
+	v, n := binary.Uvarint(c)
 	if n <= 0 {
-		return 0, errBadVarint
+		return 0, c, errBadVarint
 	}
-	d.cur = d.cur[n:]
-	return v, nil
+	return v, c[n:], nil
 }
 
-func (d *binDecoder) z() (int64, error) {
-	v, n := binary.Varint(d.cur)
+func (c cursor) z() (int64, cursor, error) {
+	v, n := binary.Varint(c)
 	if n <= 0 {
-		return 0, errBadVarint
+		return 0, c, errBadVarint
 	}
-	d.cur = d.cur[n:]
-	return v, nil
+	return v, c[n:], nil
 }
 
 // take returns the next n raw payload bytes. The returned slice aliases the
 // scratch buffer: copy before retaining.
-func (d *binDecoder) take(n uint64) ([]byte, error) {
-	if n > uint64(len(d.cur)) {
-		return nil, errShortPayload
+func (c cursor) take(n uint64) ([]byte, cursor, error) {
+	if n > uint64(len(c)) {
+		return nil, c, errShortPayload
 	}
-	b := d.cur[:n]
-	d.cur = d.cur[n:]
-	return b, nil
+	return c[:n], c[n:], nil
 }
 
-func (d *binDecoder) str() (string, error) {
-	n, err := d.u()
+func (c cursor) str() (string, cursor, error) {
+	n, c, err := c.u()
 	if err != nil {
-		return "", err
+		return "", c, err
 	}
-	b, err := d.take(n)
+	b, c, err := c.take(n)
 	if err != nil {
-		return "", err
+		return "", c, err
 	}
-	return string(b), nil
+	return string(b), c, nil
 }
 
-func (d *binDecoder) key() (keyspace.Key, error) {
-	s, err := d.str()
-	return keyspace.Key(s), err
+func (c cursor) key() (keyspace.Key, cursor, error) {
+	s, c, err := c.str()
+	return keyspace.Key(s), c, err
 }
 
-// bytes1 decodes the nil-preserving byte-slice encoding into dst's tail,
-// returning the grown dst and the value's slice of it (nil for the nil
-// marker). dst must have capacity for every value remaining in the frame so
-// earlier values are never invalidated by growth; callers size it from the
-// remaining payload length, which is always an upper bound.
-func (d *binDecoder) bytes1(dst []byte) ([]byte, []byte, error) {
-	n, err := d.u()
-	if err != nil {
-		return dst, nil, err
-	}
-	if n == 0 {
-		return dst, nil, nil
-	}
-	b, err := d.take(n - 1)
-	if err != nil {
-		return dst, nil, err
-	}
-	off := len(dst)
-	dst = append(dst, b...)
-	return dst, dst[off:len(dst):len(dst)], nil
-}
-
-func (d *binDecoder) end() error {
-	if len(d.cur) != 0 {
+func (c cursor) end() error {
+	if len(c) != 0 {
 		return errTrailing
 	}
 	return nil
 }
 
 func (d *binDecoder) decodeHello(h *helloMsg) error {
-	v, err := d.u()
+	v, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	hb, err := d.z()
+	hb, c, err := c.z()
 	if err != nil {
 		return err
 	}
 	h.Version = uint32(v)
 	h.HeartbeatMillis = hb
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeShutdown(m *shutdownMsg) error {
-	reason, err := d.str()
+	reason, c, err := d.cur.str()
 	if err != nil {
 		return err
 	}
 	m.Reason = reason
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	count, err := d.u()
+	count, c, err := c.u()
 	if err != nil {
 		return err
 	}
 	// Every event costs at least three payload bytes (flags, key, vdelta), so
 	// a count beyond the remaining payload is corrupt — reject it before it
 	// sizes anything.
-	if count > uint64(len(d.cur)) {
+	if count > uint64(len(c)) {
 		return errBadCount
 	}
 	// Reuse the caller's backing array; zero recycled elements first so no
@@ -492,23 +458,22 @@ func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
 	var vals []byte
 	var prev core.Version
 	for i := uint64(0); i < count; i++ {
-		fb, err := d.take(1)
-		if err != nil {
+		var fb []byte
+		if fb, c, err = c.take(1); err != nil {
 			return err
 		}
 		flags := fb[0]
 		var key keyspace.Key
 		if flags&evKeyLiteral != 0 {
-			key, err = d.key()
-			if err != nil {
+			if key, c, err = c.key(); err != nil {
 				return err
 			}
 			if len(d.keys) < keyDictCap {
 				d.keys = append(d.keys, key)
 			}
 		} else {
-			ref, err := d.u()
-			if err != nil {
+			var ref uint64
+			if ref, c, err = c.u(); err != nil {
 				return err
 			}
 			if ref >= uint64(len(d.keys)) {
@@ -516,24 +481,24 @@ func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
 			}
 			key = d.keys[ref]
 		}
-		delta, err := d.z()
-		if err != nil {
+		var delta int64
+		if delta, c, err = c.z(); err != nil {
 			return err
 		}
 		ver := core.Version(uint64(int64(prev) + delta))
 		prev = ver
 		var value []byte
 		if flags&evHasValue != 0 {
-			n, err := d.u()
-			if err != nil {
+			var n uint64
+			var b []byte
+			if n, c, err = c.u(); err != nil {
 				return err
 			}
-			b, err := d.take(n)
-			if err != nil {
+			if b, c, err = c.take(n); err != nil {
 				return err
 			}
 			if vals == nil {
-				vals = make([]byte, 0, int(n)+len(d.cur))
+				vals = make([]byte, 0, int(n)+len(c))
 			}
 			off := len(vals)
 			vals = append(vals, b...)
@@ -541,8 +506,7 @@ func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
 		}
 		var tr trace.ID
 		if flags&evHasTrace != 0 {
-			tr, err = d.u()
-			if err != nil {
+			if tr, c, err = c.u(); err != nil {
 				return err
 			}
 		}
@@ -556,7 +520,7 @@ func (d *binDecoder) decodeEventBatch(m *eventBatchMsg) error {
 	m.ID = id
 	m.Evs = evs
 	d.batched = true
-	return d.end()
+	return c.end()
 }
 
 // decodeEventRepeat addresses m, the batch the last decodeEventBatch filled,
@@ -565,54 +529,54 @@ func (d *binDecoder) decodeEventRepeat(m *eventBatchMsg) error {
 	if !d.batched {
 		return errNoBatch
 	}
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
 	m.ID = id
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeProgress(m *progressMsg) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	low, err := d.key()
+	low, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	high, err := d.key()
+	high, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	v, err := d.u()
+	v, c, err := c.u()
 	if err != nil {
 		return err
 	}
 	m.ID = id
 	m.P = core.ProgressEvent{Range: keyspace.Range{Low: low, High: high}, Version: core.Version(v)}
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeResync(m *resyncMsg) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	low, err := d.key()
+	low, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	high, err := d.key()
+	high, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	minV, err := d.u()
+	minV, c, err := c.u()
 	if err != nil {
 		return err
 	}
-	reason, err := d.str()
+	reason, c, err := c.str()
 	if err != nil {
 		return err
 	}
@@ -622,34 +586,35 @@ func (d *binDecoder) decodeResync(m *resyncMsg) error {
 		MinVersion: core.Version(minV),
 		Reason:     reason,
 	}
-	return d.end()
+	return c.end()
 }
 
 // decodeSnapChunk decodes a snapshot chunk up to its entries — everything the
-// receiver needs to pick the accumulator they belong on. decodeSnapEntries
-// must follow. A bound beyond maxSnapReserve is clamped here, so no caller
-// ever sees an outside value it could size an allocation by.
+// receiver needs to pick the accumulator they belong on — and leaves
+// binDecoder.cur at the entries. decodeSnapEntries must follow. A bound
+// beyond maxSnapReserve is clamped here, so no caller ever sees an outside
+// value it could size an allocation by.
 func (d *binDecoder) decodeSnapChunk(m *snapChunk) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	fb, err := d.take(1)
+	fb, c, err := c.take(1)
 	if err != nil {
 		return err
 	}
 	flags := fb[0]
 	var bound uint64
 	if flags&snapHasBound != 0 {
-		if bound, err = d.u(); err != nil {
+		if bound, c, err = c.u(); err != nil {
 			return err
 		}
 	}
-	at, err := d.u()
+	at, c, err := c.u()
 	if err != nil {
 		return err
 	}
-	errStr, err := d.str()
+	errStr, c, err := c.str()
 	if err != nil {
 		return err
 	}
@@ -660,6 +625,7 @@ func (d *binDecoder) decodeSnapChunk(m *snapChunk) error {
 		Err:   errStr,
 		Last:  flags&snapLast != 0,
 	}
+	d.cur = c
 	return nil
 }
 
@@ -670,42 +636,43 @@ func (d *binDecoder) decodeSnapChunk(m *snapChunk) error {
 // keys are substrings of one string per chunk: nothing aliases the scratch
 // buffer, and a consumer retaining one entry pins one chunk's blocks.
 func (d *binDecoder) decodeSnapEntries(dst []core.Entry) ([]core.Entry, error) {
-	count, err := d.u()
+	count, c, err := d.cur.u()
 	if err != nil {
 		return dst, err
 	}
 	// Each entry costs at least three payload bytes (key len, value marker,
 	// vdelta).
-	if count > uint64(len(d.cur)) {
+	if count > uint64(len(c)) {
 		return dst, errBadCount
 	}
-	body := d.cur
-	d.snapKeys = d.snapKeys[:0]
+	body := c
+	keyBytes := d.snapKeys[:0]
 	valBytes := 0
 	for i := uint64(0); i < count; i++ {
-		n, err := d.u()
-		if err != nil {
+		var n uint64
+		var k []byte
+		if n, c, err = c.u(); err != nil {
 			return dst, err
 		}
-		k, err := d.take(n)
-		if err != nil {
+		if k, c, err = c.take(n); err != nil {
 			return dst, err
 		}
-		d.snapKeys = append(d.snapKeys, k...)
-		if n, err = d.u(); err != nil {
+		keyBytes = append(keyBytes, k...)
+		if n, c, err = c.u(); err != nil {
 			return dst, err
 		}
 		if n > 0 {
-			if _, err := d.take(n - 1); err != nil {
+			if _, c, err = c.take(n - 1); err != nil {
 				return dst, err
 			}
 			valBytes += int(n - 1)
 		}
-		if _, err := d.z(); err != nil {
+		if _, c, err = c.z(); err != nil {
 			return dst, err
 		}
 	}
-	if err := d.end(); err != nil {
+	d.snapKeys = keyBytes
+	if err := c.end(); err != nil {
 		return dst, err
 	}
 	if count == 0 {
@@ -713,20 +680,27 @@ func (d *binDecoder) decodeSnapEntries(dst []core.Entry) ([]core.Entry, error) {
 	}
 
 	// Second pass over a payload known to be well formed.
-	d.cur = body
-	keys := string(d.snapKeys)
+	c = body
+	keys := string(keyBytes)
 	vals := make([]byte, 0, valBytes)
 	dst = slices.Grow(dst, int(count))
 	var prev core.Version
 	off := 0
 	for i := uint64(0); i < count; i++ {
-		n, _ := d.u()
-		d.cur = d.cur[n:]
+		var n uint64
+		var delta int64
+		n, c, _ = c.u()
 		key := keyspace.Key(keys[off : off+int(n)])
 		off += int(n)
+		c = c[n:]
 		var value []byte
-		vals, value, _ = d.bytes1(vals)
-		delta, _ := d.z()
+		if n, c, _ = c.u(); n > 0 {
+			v := len(vals)
+			vals = append(vals, c[:n-1]...)
+			value = vals[v:len(vals):len(vals)]
+			c = c[n-1:]
+		}
+		delta, c, _ = c.z()
 		prev = core.Version(uint64(int64(prev) + delta))
 		dst = append(dst, core.Entry{Key: key, Value: value, Version: prev})
 	}
@@ -734,38 +708,38 @@ func (d *binDecoder) decodeSnapEntries(dst []core.Entry) ([]core.Entry, error) {
 }
 
 func (d *binDecoder) decodeOverloaded(m *overloadedMsg) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	retry, err := d.z()
+	retry, c, err := c.z()
 	if err != nil {
 		return err
 	}
-	reason, err := d.str()
+	reason, c, err := c.str()
 	if err != nil {
 		return err
 	}
 	m.ID = id
 	m.RetryAfterMillis = retry
 	m.Reason = reason
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeWatch(w *watchReq) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	low, err := d.key()
+	low, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	high, err := d.key()
+	high, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	from, err := d.u()
+	from, c, err := c.u()
 	if err != nil {
 		return err
 	}
@@ -773,33 +747,33 @@ func (d *binDecoder) decodeWatch(w *watchReq) error {
 	w.Low = low
 	w.High = high
 	w.From = core.Version(from)
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeCancel(cr *cancelReq) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
 	cr.ID = id
-	return d.end()
+	return c.end()
 }
 
 func (d *binDecoder) decodeSnapshot(sr *snapshotReq) error {
-	id, err := d.u()
+	id, c, err := d.cur.u()
 	if err != nil {
 		return err
 	}
-	low, err := d.key()
+	low, c, err := c.key()
 	if err != nil {
 		return err
 	}
-	high, err := d.key()
+	high, c, err := c.key()
 	if err != nil {
 		return err
 	}
 	sr.ID = id
 	sr.Low = low
 	sr.High = high
-	return d.end()
+	return c.end()
 }

@@ -384,18 +384,60 @@ func randBatch(rng *rand.Rand, n int, ver *core.Version) []core.ChangeEvent {
 	return evs
 }
 
+// randChunk builds a pseudo-random snapshot chunk: empty keys and keys of
+// 128 bytes or more (a two-byte length), nil, empty and non-empty values,
+// scattered versions (negative deltas), and random header fields.
+func randChunk(rng *rand.Rand, id uint64) *snapChunk {
+	ch := &snapChunk{ID: id, At: core.Version(rng.Intn(1 << 20)), Last: rng.Intn(2) == 0}
+	if rng.Intn(2) == 0 {
+		ch.Bound = rng.Intn(maxSnapReserve)
+	}
+	if rng.Intn(8) == 0 {
+		ch.Err = "snapshot failed"
+	}
+	for n := rng.Intn(40); len(ch.Entries) < n; {
+		en := core.Entry{Version: core.Version(1 + rng.Intn(1<<20))}
+		switch rng.Intn(8) {
+		case 0: // empty key
+		case 1:
+			en.Key = keyspace.Key(strings.Repeat("k", 128+rng.Intn(200)))
+		default:
+			en.Key = keyspace.NumericKey(rng.Intn(1 << 20))
+		}
+		switch rng.Intn(4) {
+		case 0: // nil value
+		case 1:
+			en.Value = []byte{}
+		default:
+			en.Value = make([]byte, 1+rng.Intn(200))
+			rng.Read(en.Value)
+		}
+		ch.Entries = append(ch.Entries, en)
+	}
+	return ch
+}
+
 // TestCodecRoundTripRandom streams many random frames through one
 // encoder/decoder pair — the per-connection shape, so the key dictionary
-// accumulates state across frames — and requires exact round-trips.
+// accumulates state across frames — and requires exact round-trips. Random
+// snapshot chunks are interleaved with the event batches on the same stream.
 func TestCodecRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	chunkRng := rand.New(rand.NewSource(43))
 	var buf bytes.Buffer
 	enc, bw := newTestEncoder(&buf)
 
 	const frames = 200
 	var ver core.Version
 	sent := make([][]core.ChangeEvent, frames)
+	chunks := make([]*snapChunk, frames) // the chunk sent before batch i, if any
 	for i := range sent {
+		if chunkRng.Intn(3) == 0 {
+			chunks[i] = randChunk(chunkRng, uint64(i))
+			if err := enc.snapChunk(chunks[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
 		sent[i] = randBatch(rng, 1+rng.Intn(64), &ver)
 		if err := enc.eventBatch(uint64(i), sent[i]); err != nil {
 			t.Fatal(err)
@@ -408,6 +450,17 @@ func TestCodecRoundTripRandom(t *testing.T) {
 	dec := newBinDecoder(bufio.NewReader(bytes.NewReader(buf.Bytes())))
 	var m eventBatchMsg
 	for i := range sent {
+		if want := chunks[i]; want != nil {
+			tag, err := dec.readTag()
+			if err != nil {
+				t.Fatalf("chunk %d: %v", i, err)
+			}
+			requireTag(t, tag, tagSnapChunk)
+			got := decodeWholeChunk(t, dec)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d mismatched after round trip:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
 		tag, err := dec.readTag()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -603,6 +656,38 @@ func TestDecodeFrameHardening(t *testing.T) {
 			},
 			wantErr: errShortPayload,
 		},
+		// Snapshot chunks: a well-formed header (id 1, no flags, at 0, no
+		// error), then malformed entries.
+		{
+			name:    "snapshot count exceeds payload",
+			mutate:  func([]byte) []byte { return snapFrame(0x80, 0x80, 0x40) },
+			wantErr: errBadCount,
+		},
+		{
+			name:    "snapshot truncated key",
+			mutate:  func([]byte) []byte { return snapFrame(0x01, 0x05, 'a', 'b') },
+			wantErr: errShortPayload,
+		},
+		{
+			name:    "snapshot truncated value",
+			mutate:  func([]byte) []byte { return snapFrame(0x01, 0x01, 'k', 0x0a, 'v', 'w') },
+			wantErr: errShortPayload,
+		},
+		{
+			name:    "snapshot bad value length",
+			mutate:  func([]byte) []byte { return snapFrame(0x01, 0x01, 'k', 0x80, 0x80) },
+			wantErr: errBadVarint,
+		},
+		{
+			name:    "snapshot bad version delta",
+			mutate:  func([]byte) []byte { return snapFrame(0x01, 0x01, 'k', 0x00, 0x80) },
+			wantErr: errBadVarint,
+		},
+		{
+			name:    "snapshot trailing byte",
+			mutate:  func([]byte) []byte { return snapFrame(0x01, 0x01, 'k', 0x00, 0x02, 0xaa) },
+			wantErr: errTrailing,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -610,9 +695,15 @@ func TestDecodeFrameHardening(t *testing.T) {
 			dec := newBinDecoder(bufio.NewReader(bytes.NewReader(data)))
 			tag, err := dec.readTag()
 			if err == nil {
-				var m eventBatchMsg
-				requireTag(t, tag, tagEventBatch)
-				err = dec.decodeEventBatch(&m)
+				switch tag {
+				case tagEventBatch:
+					var m eventBatchMsg
+					err = dec.decodeEventBatch(&m)
+				case tagSnapChunk:
+					err = decodeOntoHeld(t, dec)
+				default:
+					t.Fatalf("unexpected frame tag %d", tag)
+				}
 			}
 			if err == nil {
 				t.Fatal("malformed frame decoded without error")
@@ -622,6 +713,32 @@ func TestDecodeFrameHardening(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snapFrame is a snapshot chunk frame: id 1, no flags, at 0, no error, then
+// entries — the count and what follows it.
+func snapFrame(entries ...byte) []byte {
+	payload := append([]byte{0x01, 0x00, 0x00, 0x00}, entries...)
+	return append([]byte{tagSnapChunk, byte(len(payload))}, payload...)
+}
+
+// decodeOntoHeld decodes the current snapshot chunk onto an accumulator that
+// already holds one entry, and requires that a failed decode returns it with
+// the same length and contents.
+func decodeOntoHeld(t *testing.T, dec *binDecoder) error {
+	t.Helper()
+	var m snapChunk
+	if err := dec.decodeSnapChunk(&m); err != nil {
+		return err
+	}
+	held := core.Entry{Key: "held", Value: []byte("v"), Version: 1}
+	acc := make([]core.Entry, 1, 8)
+	acc[0] = held
+	got, err := dec.decodeSnapEntries(acc)
+	if err != nil && (len(got) != 1 || !reflect.DeepEqual(got[0], held)) {
+		t.Fatalf("failed decode returned %d entries %+v, want the held one alone", len(got), got)
+	}
+	return err
 }
 
 // TestCodecSteadyStateAllocs pins the zero-alloc claim: once the scratch
@@ -892,6 +1009,65 @@ func BenchmarkCodecDecodeBatch(b *testing.B) {
 			if err := dec.decodeEventBatch(&m); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// benchChunk is a full snapshot chunk: snapChunkEntries entries of 12-byte
+// keys and 64-byte values, versions scattered so most deltas take several
+// bytes, as in a store that was written in no particular key order.
+func benchChunk() *snapChunk {
+	entries := newFixedSnapStore(snapChunkEntries, 64).entries
+	for i := range entries {
+		entries[i].Version = core.Version(1 + (i*7919)%100000)
+	}
+	return &snapChunk{ID: 1, At: 100000, Entries: entries}
+}
+
+// BenchmarkCodecEncodeSnapChunk encodes one full snapshot chunk per op.
+func BenchmarkCodecEncodeSnapChunk(b *testing.B) {
+	chunk := benchChunk()
+	enc := newBinEncoder(bufio.NewWriterSize(io.Discard, 1<<20))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.snapChunk(chunk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCodecDecodeSnapChunk decodes one full snapshot chunk per op onto a
+// reused accumulator.
+func BenchmarkCodecDecodeSnapChunk(b *testing.B) {
+	var buf bytes.Buffer
+	enc, bw := newTestEncoder(&buf)
+	if err := enc.snapChunk(benchChunk()); err != nil {
+		b.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	frame := buf.Bytes()
+	r := bytes.NewReader(frame)
+	br := bufio.NewReaderSize(r, len(frame))
+	dec := newBinDecoder(br)
+	acc := make([]core.Entry, 0, snapChunkEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(frame)
+		br.Reset(r)
+		var m snapChunk
+		if _, err := dec.readTag(); err != nil {
+			b.Fatal(err)
+		}
+		err := dec.decodeSnapChunk(&m)
+		if err == nil {
+			acc, err = dec.decodeSnapEntries(acc[:0])
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
