@@ -85,12 +85,15 @@ tracestress:
 # the lag-gauge test waited under -race for a resync its blocked consumer
 # could not deliver (it now reads the radar), and the watch-pod prune test
 # waited for v3 to arrive rather than for version 3 to be servable (it now
-# waits for its own premise). Each must pass 30 runs in a row.
+# waits for its own premise). The black-box dump end-to-end test and E5 once
+# failed in full parallel suite runs. Each must pass 30 runs in a row.
 flakes:
 	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E17' ./internal/experiments
 	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E6$$' ./internal/experiments
+	$(GO) test -count=30 -run 'TestAllExperimentsQuick/E5$$' ./internal/experiments
 	$(GO) test -race -count=30 -run TestLagGaugesExcludeLaggedAndCancelledWatchers ./internal/core
 	$(GO) test -race -count=30 -run TestWatchPodPrune ./internal/cache
+	$(GO) test -race -count=30 -run TestChaosPartitionProducesRetrievableDump ./internal/debugz
 
 # soak drives the full governed stack — MVCC store, hub, remote server, TCP,
 # reconnecting clients, ResyncWatchers — through an overload storm under the

@@ -139,7 +139,7 @@ type WatchCallback interface {
 // follows every event it covers. The callee must not retain or mutate evs
 // (or the slice's backing array) after returning: a live batch is either
 // the dispatcher's reused array or a view of retained segments — a watch
-// covering a whole hub shard reads that shard's log in place — and a
+// covering the whole keyspace reads the hub's log in place — and a
 // catch-up replay's is a view of sealed retention history; segment views
 // are shared read-only with every other watcher reading them. The event
 // *values* (including Mutation.Value bytes) may be retained as usual.

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,26 +23,17 @@ var (
 	ErrBadWatch = errors.New("core: invalid watch request")
 )
 
-// HubConfig tunes a Hub's soft-state footprint and parallelism.
+// HubConfig tunes a Hub's soft-state footprint.
 type HubConfig struct {
-	// Retention is the maximum number of change events kept in each shard's
-	// in-memory window (total soft state is therefore at most
-	// Shards×Retention). Evicting an event a watcher would still need turns
-	// into an explicit resync for that watcher — never silent loss.
-	// Default 8192.
+	// Retention is the maximum number of change events kept in the hub's
+	// in-memory window, one window for the whole keyspace. Evicting an event
+	// a watcher would still need turns into an explicit resync for that
+	// watcher — never silent loss. Default 8192.
 	Retention int
 	// WatcherBuffer is the maximum number of undelivered change events queued
 	// for one watcher before it is lagged out with a resync; progress takes
 	// no slot. Default 1024.
 	WatcherBuffer int
-	// Shards is the number of key-range shards the hub's ingest state
-	// (retained window, frontier, watcher index) is partitioned into. Appends
-	// to disjoint ranges never contend: each shard has its own lock. Shard
-	// boundaries follow keyspace.EvenSplit over the numeric key domain, the
-	// same convention the auto-sharder uses. Default GOMAXPROCS;
-	// reproduction experiments that depend on a single global eviction
-	// window pin Shards to 1.
-	Shards int
 	// Metrics is the registry the hub's instruments register in; nil uses
 	// metrics.Default().
 	Metrics *metrics.Registry
@@ -69,9 +59,9 @@ type HubConfig struct {
 	// registrations under Reject pressure. Nil disables governance at the
 	// cost of one branch per charge site.
 	Governor *govern.Governor
-	// RetentionFloor is the per-shard retained-event count accelerated
-	// eviction may trim down to under memory pressure — the freshness the
-	// hub refuses to trade away. Default Retention/4.
+	// RetentionFloor is the retained-event count accelerated eviction may
+	// trim down to under memory pressure — the freshness the hub refuses to
+	// trade away. Default Retention/4.
 	RetentionFloor int
 }
 
@@ -93,7 +83,7 @@ type hubMetrics struct {
 	queueHighwater     *metrics.Gauge
 	watchers, retained *metrics.Gauge
 	// sealedSegments/sealedBytes track the immutable portion of the
-	// retention windows: how many sealed segments the shards hold and their
+	// retention window: how many sealed segments the hub holds and their
 	// approximate payload footprint.
 	sealedSegments, sealedBytes *metrics.Gauge
 }
@@ -126,9 +116,6 @@ func (c *HubConfig) applyDefaults() {
 	if c.WatcherBuffer <= 0 {
 		c.WatcherBuffer = 1024
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.RetentionFloor <= 0 {
 		c.RetentionFloor = c.Retention / 4
 	}
@@ -143,12 +130,11 @@ func (c *HubConfig) applyDefaults() {
 type HubStats struct {
 	Appends        int64 // change events ingested
 	ProgressEvents int64 // progress events ingested
-	Evictions      int64 // events evicted from the retention windows
+	Evictions      int64 // events evicted from the retention window
 	Resyncs        int64 // resync signals issued to watchers
 	Delivered      int64 // change events delivered to watchers
-	RetainedEvents int   // current soft-state window size, summed over shards
+	RetainedEvents int   // current soft-state window size
 	Watchers       int   // currently registered watchers
-	Shards         int   // key-range shards
 	MaxSeen        Version
 }
 
@@ -169,17 +155,14 @@ type HubStats struct {
 //     or survives a hub state wipe gets OnResync with the minimum version its
 //     recovery snapshot must reflect.
 //
-// Internally the hub is partitioned into key-range shards, each owning a
-// slice of the retained window, the progress frontier, and the watcher
-// index, under its own lock. A key lives in exactly one shard, so per-key
-// version order survives sharding; a watcher spanning several shards
-// registers in each — reading the log of each shard it covers, fed through
-// its queue by the others — and one dispatch goroutine drains them all, so
-// its callbacks stay serialized.
+// One retained window, one progress frontier and one watcher index sit
+// behind one ingest lock, mu. The sources feeding a hub commit serially, so
+// ingest is serial anyway; a deployment scales out by giving key ranges to
+// whole hubs (internal/sharder), never by splitting one.
 //
-// Lock order (outermost first): regMu, then shard locks in ascending shard
-// index, then watcher ring locks. Ingest (Append, AppendBatch, Progress,
-// AppendCommit) takes only shard and ring locks, one shard at a time.
+// Lock order (outermost first): regMu, then mu, then watcher ring locks.
+// Ingest (Append, AppendBatch, Progress, AppendCommit) takes only mu and
+// ring locks.
 type Hub struct {
 	cfg    HubConfig
 	met    hubMetrics
@@ -191,10 +174,8 @@ type Hub struct {
 	// first passed them — the substrate for time-behind-frontier lag.
 	verTimes verClock
 
-	shards []*hubShard // ascending, partitioning the keyspace
-
-	// segPool recycles retention-segment arrays across all shards; the
-	// per-segment event capacity is fixed at construction from Retention.
+	// segPool recycles retention-segment arrays; the per-segment event
+	// capacity is fixed at construction from Retention.
 	segPool segPool
 
 	// gov and its two child accounts are nil when ungoverned; every charge
@@ -204,61 +185,54 @@ type Hub struct {
 	ringAcct *govern.Account // queued-but-undelivered footprint ("rings")
 
 	regMu    sync.Mutex // watcher lifecycle: Watch, cancel, Wipe, Close
-	closed   bool
 	watchers map[int64]*hubWatcher
 	nextID   int64
 
-	resyncs       atomic.Int64
-	progressCalls atomic.Int64  // claims ingested (not per-shard slices)
-	ingests       atomic.Uint64 // ingest calls carrying events, for latency sampling
-}
-
-// hubShard owns one key range's ingest state.
-type hubShard struct {
-	idx int // position in Hub.shards, for flight-record attribution
-	rng keyspace.Range
-
-	mu     sync.Mutex
+	mu sync.Mutex // ingest state, below
+	// closed is written with regMu and mu both held, so either one guards
+	// a read.
 	closed bool
 
 	// Retained window: a chain of segments in arrival order. All but the
 	// last are sealed — immutable and shared zero-copy with replaying
 	// watchers; the last is the active tail, the only part of the window a
-	// live append mutates. Steady state recycles arrays through the hub's
-	// segment pool, so an append writes one slot and allocates nothing.
+	// live append mutates. Steady state recycles arrays through segPool, so
+	// an append writes one slot and allocates nothing.
 	segs  []*segment
 	count int // retained events, summed over the chain
-	// chargedBytes mirrors what this shard's retained window has charged the
+	// chargedBytes mirrors what the retained window has charged the
 	// governor's hub account: evFootprint summed over every slot of the
 	// chain, trimmed ones included — an array keeps its trimmed payloads
 	// reachable until its segment retires, which releases its bytes.
-	// Maintained under s.mu so Wipe/Close can release exactly.
 	chargedBytes int64
 
 	// evicted is the max version among retired segments' events (and the
 	// feed start); horizonLocked adds the head segment's trimmed slots.
-	// Read cross-shard.
-	evicted  atomic.Uint64
-	maxSeen  atomic.Uint64 // max version ever appended here (read cross-shard)
+	evicted  Version
+	maxSeen  atomic.Uint64 // max version ever ingested (read by the lag radar)
 	frontier VersionMap
-	index    watcherIndex // shard-clipped ranges → the ring watchers covering them
-	// readers are the watchers covering the whole shard, which read the
-	// chain instead of a ring (reader.go).
+	index    watcherIndex // watch ranges → the ring watchers covering them
+	// readers are the full-range watchers, which read the chain instead of
+	// a ring (reader.go).
 	readers []*reader
 
 	appends, evictions, delivered int64
 	// logLen is appends as of the last finished ingest call, published once
-	// per call for the lag checks and the radar to read without the lock.
+	// per call for the lag radar to read without the lock.
 	logLen atomic.Int64
+
+	resyncs       atomic.Int64
+	progressCalls atomic.Int64  // claims ingested
+	ingests       atomic.Uint64 // ingest calls carrying events, for latency sampling
 }
 
-// tailLocked returns the shard's active tail segment, opening the chain's
-// first segment on demand. Caller holds s.mu.
-func (s *hubShard) tailLocked(h *Hub) *segment {
-	if len(s.segs) == 0 {
-		s.segs = append(s.segs, h.segPool.get())
+// tailLocked returns the active tail segment, opening the chain's first
+// segment on demand. Caller holds h.mu.
+func (h *Hub) tailLocked() *segment {
+	if len(h.segs) == 0 {
+		h.segs = append(h.segs, h.segPool.get())
 	}
-	return s.segs[len(s.segs)-1]
+	return h.segs[len(h.segs)-1]
 }
 
 var (
@@ -284,9 +258,6 @@ func NewHub(cfg HubConfig) *Hub {
 		watchers: make(map[int64]*hubWatcher),
 		segPool:  segPool{size: segSizeFor(cfg.Retention)},
 	}
-	for i, r := range keyspace.EvenSplit(cfg.Shards*1000, cfg.Shards) {
-		h.shards = append(h.shards, &hubShard{idx: i, rng: r})
-	}
 	h.registerLagGauges(cfg.Metrics.Or())
 	if cfg.Governor != nil {
 		h.gov = cfg.Governor
@@ -301,41 +272,21 @@ func NewHub(cfg HubConfig) *Hub {
 	return h
 }
 
-// NumShards returns the hub's shard count.
-func (h *Hub) NumShards() int { return len(h.shards) }
-
 // minResyncVersion is the version a resyncing watcher's recovery snapshot
-// must reflect: the highest version the hub has seen or evicted anywhere.
-// Per-shard values are read atomically, so no shard lock is required.
+// must reflect: the highest version the hub has seen or evicted. Caller
+// holds h.mu.
 func (h *Hub) minResyncVersion() Version {
-	var min uint64
-	for _, s := range h.shards {
-		if v := s.maxSeen.Load(); v > min {
-			min = v
-		}
-		if v := s.evicted.Load(); v > min {
-			min = v
-		}
-	}
-	return Version(min)
+	return max(Version(h.maxSeen.Load()), h.evicted)
 }
 
 // ingestFx accumulates one ingest call's side effects so that registry
-// counters are flushed once, outside every shard lock.
+// counters are flushed once, outside the lock.
 type ingestFx struct {
 	appends, delivered, evictions, retained int64
 	appendOverflow                          int64
 	// segBytes is the call's net charge to the governor's hub account:
 	// retained footprints minus evicted ones.
 	segBytes int64
-	lagged   []laggedRef // cross-shard index removal, deferred
-}
-
-// laggedRef records where a lag-out originated so the deferred cleanup can
-// skip the shard whose lock already removed the index entry.
-type laggedRef struct {
-	w      *hubWatcher
-	origin *hubShard
 }
 
 func (h *Hub) flushIngest(fx *ingestFx) {
@@ -361,82 +312,60 @@ func (h *Hub) flushIngest(fx *ingestFx) {
 	}
 }
 
-// finishLagged removes lagged watchers from the shards the lag-out origin
-// could not touch (their locks were not held), releasing their readers'
-// pins. Until this runs, stale index entries and readers are harmless: every
-// fanout, lag check and capture checks the watcher's lagged flag, and the
-// ring itself drops post-resync deliveries.
-func (h *Hub) finishLagged(fx *ingestFx) {
-	for _, ref := range fx.lagged {
-		for _, s := range h.shards {
-			if s == ref.origin {
-				continue
-			}
-			clip := ref.w.rng.Intersect(s.rng)
-			if clip.Empty() {
-				continue
-			}
-			s.mu.Lock()
-			s.index.remove(ref.w, clip)
-			s.dropReaderLocked(h, ref.w)
-			s.mu.Unlock()
-		}
-	}
-}
-
 // lagOutLocked marks w as lagged, replaces its queue with a resync, and
-// removes it from the origin shard's index (whose lock the caller holds).
-// Index entries in other shards are cleaned up by finishLagged after the
-// origin lock is released; the atomic lagged flag keeps them inert until
-// then. Exactly one caller wins the flag, so accounting happens once.
-// tid, when nonzero, is the trace of the event whose delivery failure
-// caused the cut-over — it correlates the flight record with the sampled
-// trace that hit the full buffer.
-func (h *Hub) lagOutLocked(w *hubWatcher, origin *hubShard, reason string, tid trace.ID, fx *ingestFx) {
+// removes its index entry and reader. Exactly one caller wins the flag, so
+// accounting happens once. tid, when nonzero, is the trace of the event
+// whose delivery failure caused the cut-over — it correlates the flight
+// record with the sampled trace that hit the full buffer. Caller holds h.mu.
+func (h *Hub) lagOutLocked(w *hubWatcher, reason string, tid trace.ID) {
 	if !w.lagged.CompareAndSwap(false, true) {
 		return
 	}
 	h.resyncs.Add(1)
 	h.met.resyncs.Inc()
-	if origin != nil {
-		origin.index.remove(w, w.rng.Intersect(origin.rng))
-		origin.dropReaderLocked(h, w)
-	}
+	h.detachLocked(w)
 	min := h.minResyncVersion()
 	w.q.lagOut(ResyncEvent{Range: w.rng, MinVersion: min, Reason: reason})
-	fx.lagged = append(fx.lagged, laggedRef{w: w, origin: origin})
 	h.rec.Record(flightrec.KindWatcherLagOut, flightrec.Event{
 		Comp: "core.hub", ID: w.id, Version: uint64(min), Trace: tid, Detail: reason,
 	})
 }
 
-// evictOneLocked trims the shard's oldest retained event without reading it,
-// dropping the oldest segment once fully consumed; the caller holds s.mu and
-// must have checked s.count > 0. It returns the governor footprint a retired
+// detachLocked stops feeding w: it leaves the index, or, for a reader, the
+// reader list with its pins released. Caller holds h.mu.
+func (h *Hub) detachLocked(w *hubWatcher) {
+	if w.rd == nil {
+		h.index.remove(w, w.rng)
+	} else {
+		h.dropReaderLocked(w.rd)
+	}
+}
+
+// evictOneLocked trims the oldest retained event without reading it,
+// dropping the oldest segment once fully consumed; the caller holds h.mu and
+// must have checked h.count > 0. It returns the governor footprint a retired
 // segment frees (0 for a plain trim, or when ungoverned); the caller settles
 // chargedBytes and the hub account.
-func (s *hubShard) evictOneLocked(h *Hub, fx *ingestFx) int64 {
-	oldest := s.segs[0]
+func (h *Hub) evictOneLocked(fx *ingestFx) int64 {
+	oldest := h.segs[0]
 	oldest.trim++
-	s.count--
-	s.evictions++
+	h.count--
+	h.evictions++
 	fx.evictions++
 	fx.retained--
 	if !oldest.sealed || oldest.trim < len(oldest.evs) {
 		return 0
 	}
-	s.segs[0] = nil
-	s.segs = s.segs[1:]
-	if v := uint64(oldest.maxVer); v > s.evicted.Load() {
-		s.evicted.Store(v)
-	}
+	h.segs[0] = nil
+	h.segs = h.segs[1:]
+	h.evicted = max(h.evicted, oldest.maxVer)
 	h.met.sealedSegments.Add(-1)
 	h.met.sealedBytes.Add(-oldest.bytes)
 	// One retire record stands in for the len(evs) per-event trims that
 	// consumed the segment — eviction is flight-recorded at segment
 	// granularity, never per event.
 	h.rec.Record(flightrec.KindSegmentRetire, flightrec.Event{
-		Comp: "core.hub", ID: int64(s.idx), Version: uint64(oldest.maxVer), N: int64(len(oldest.evs)),
+		Comp: "core.hub", Version: uint64(oldest.maxVer), N: int64(len(oldest.evs)),
 	})
 	var freed int64
 	if h.segAcct != nil {
@@ -446,15 +375,15 @@ func (s *hubShard) evictOneLocked(h *Hub, fx *ingestFx) int64 {
 	return freed
 }
 
-// horizonLocked returns the highest version the shard no longer holds: the
+// horizonLocked returns the highest version the hub no longer holds: the
 // retired segments' horizon raised by the head segment's trimmed slots.
-// Caller holds s.mu.
-func (s *hubShard) horizonLocked() Version {
-	v := Version(s.evicted.Load())
-	if len(s.segs) == 0 {
+// Caller holds h.mu.
+func (h *Hub) horizonLocked() Version {
+	v := h.evicted
+	if len(h.segs) == 0 {
 		return v
 	}
-	g := s.segs[0]
+	g := h.segs[0]
 	trimmed := g.evs[:g.trim]
 	if g.sorted && len(trimmed) > 0 {
 		trimmed = trimmed[len(trimmed)-1:] // the last trimmed slot holds their max
@@ -466,31 +395,22 @@ func (s *hubShard) horizonLocked() Version {
 }
 
 // relieveEvict is the governor's first-rung reliever: accelerate retention
-// eviction down to the configured floor, shard by shard, until retired
-// segments have freed `need` bytes or every shard sits at its floor.
-// Eviction never lags a live watcher (a ring watcher got its copy at append
-// time, and a reader pins what it has not read); it only shortens the
-// catch-up window new watchers can replay.
+// eviction down to the configured floor until retired segments have freed
+// `need` bytes or the window sits at its floor. Eviction never lags a live
+// watcher (a ring watcher got its copy at append time, and a reader pins
+// what it has not read); it only shortens the catch-up window new watchers
+// can replay.
 func (h *Hub) relieveEvict(need int64) int64 {
 	var freed int64
 	var fx ingestFx
-	for _, s := range h.shards {
-		if freed >= need {
-			break
+	h.mu.Lock()
+	if !h.closed {
+		for h.count > h.cfg.RetentionFloor && len(h.segs) > 0 && freed < need {
+			freed += h.evictOneLocked(&fx)
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
-		}
-		var shardFreed int64
-		for s.count > h.cfg.RetentionFloor && len(s.segs) > 0 && freed+shardFreed < need {
-			shardFreed += s.evictOneLocked(h, &fx)
-		}
-		s.chargedBytes -= shardFreed
-		s.mu.Unlock()
-		freed += shardFreed
+		h.chargedBytes -= freed
 	}
+	h.mu.Unlock()
 	h.segAcct.Release(freed)
 	h.flushIngest(&fx)
 	return freed
@@ -501,24 +421,22 @@ func (h *Hub) relieveEvict(need int64) int64 {
 // onto the ordinary resync path, so the cut is explicit and recoverable —
 // and quarantine it so a repeat offender waits out a jittered re-admit
 // delay before Watch lets it back in. A watcher holds its ring's bytes plus,
-// per reader, its unread events at the shard's mean retained footprint: the
-// segments it pins.
+// for a reader, its unread events at the window's mean retained footprint:
+// the segments it pins.
 func (h *Hub) relieveShed(int64) int64 {
 	if h.gov.Pressure() < govern.Shed {
 		return 0 // eviction pressure only: watchers are not touched yet
 	}
 	h.regMu.Lock()
+	defer h.regMu.Unlock()
 	if h.closed {
-		h.regMu.Unlock()
 		return 0
 	}
-	mean := make([]int64, len(h.shards))
-	for i, s := range h.shards {
-		s.mu.Lock()
-		if s.count > 0 {
-			mean[i] = s.chargedBytes / int64(s.count)
-		}
-		s.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var mean int64
+	if h.count > 0 {
+		mean = h.chargedBytes / int64(h.count)
 	}
 	var worst *hubWatcher
 	var worstBytes int64
@@ -526,67 +444,58 @@ func (h *Hub) relieveShed(int64) int64 {
 		if w.lagged.Load() {
 			continue
 		}
-		b := w.q.held()
-		for _, r := range w.readers {
-			b += int64(r.unread()) * mean[r.s.idx]
-		}
+		b := w.q.held() + int64(w.unread())*mean
 		if b > worstBytes {
 			worst, worstBytes = w, b
 		}
 	}
 	if worst == nil {
-		h.regMu.Unlock()
 		return 0
 	}
-	var fx ingestFx
 	h.gov.Quarantine(worst.rng.String())
-	h.lagOutLocked(worst, nil, "shed under memory pressure", 0, &fx)
-	h.regMu.Unlock()
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
+	h.lagOutLocked(worst, "shed under memory pressure", 0)
 	return worstBytes
 }
 
-// retainLocked adds one event to the shard's retained window; the caller
-// holds s.mu.
-func (s *hubShard) retainLocked(h *Hub, ev *ChangeEvent, fx *ingestFx) {
-	s.appends++
+// retainLocked adds one event to the retained window; the caller holds h.mu.
+func (h *Hub) retainLocked(ev *ChangeEvent, fx *ingestFx) {
+	h.appends++
 	fx.appends++
-	if v := uint64(ev.Version); v > s.maxSeen.Load() {
-		s.maxSeen.Store(v)
+	if v := uint64(ev.Version); v > h.maxSeen.Load() {
+		h.maxSeen.Store(v)
 	}
-	// FIFO eviction beyond the per-shard retention: advance the oldest
-	// segment's trim one event at a time (exact per-event accounting) and
-	// drop the segment once fully consumed. A pinned replay view keeps a
-	// dropped array alive — and readable — until it releases its reference.
-	if s.count >= h.cfg.Retention && len(s.segs) > 0 {
-		freed := s.evictOneLocked(h, fx)
-		s.chargedBytes -= freed
+	// FIFO eviction beyond the retention: advance the oldest segment's trim
+	// one event at a time (exact per-event accounting) and drop the segment
+	// once fully consumed. A pinned replay view keeps a dropped array alive
+	// — and readable — until it releases its reference.
+	if h.count >= h.cfg.Retention && len(h.segs) > 0 {
+		freed := h.evictOneLocked(fx)
+		h.chargedBytes -= freed
 		fx.segBytes -= freed
 	}
-	tail := s.tailLocked(h)
+	tail := h.tailLocked()
 	if tail.full() {
 		tail.seal()
 		h.met.sealedSegments.Add(1)
 		h.met.sealedBytes.Add(tail.bytes)
 		h.rec.Record(flightrec.KindSegmentSeal, flightrec.Event{
-			Comp: "core.hub", ID: int64(s.idx), Version: uint64(tail.maxVer), N: int64(len(tail.evs)),
+			Comp: "core.hub", Version: uint64(tail.maxVer), N: int64(len(tail.evs)),
 		})
 		tail = h.segPool.get()
-		s.segs = append(s.segs, tail)
-		s.pinTailLocked(tail)
+		h.segs = append(h.segs, tail)
+		h.pinTailLocked(tail)
 	}
 	tail.push(*ev)
-	s.count++
+	h.count++
 	fx.retained++
 	if h.segAcct != nil {
 		fp := evFootprint(ev)
-		s.chargedBytes += fp
+		h.chargedBytes += fp
 		fx.segBytes += fp
 	}
 	if ev.Trace != 0 {
 		h.tracer.Record(ev.Trace, trace.StageAppend)
-		if len(s.readers) > 0 {
+		if len(h.readers) > 0 {
 			// An event in the log is queued for every reader: stamp it
 			// before the publish that lets a dispatcher capture it.
 			h.tracer.Record(ev.Trace, trace.StageEnqueue)
@@ -594,15 +503,13 @@ func (s *hubShard) retainLocked(h *Hub, ev *ChangeEvent, fx *ingestFx) {
 	}
 }
 
-// fanOutLocked hands the shard's events in evs to its ring watchers in one
-// walk of the index; readers find them in the chain instead. Consecutive
-// events in one interval form a run, and each of the interval's watchers
-// takes the run in one ring append, so cost scales with runs and interested
-// watchers, not with events times watchers. Events of other shards fall in
-// intervals no watcher of s covers. moved is passed on to enqueueRun. The
-// caller holds s.mu.
-func (s *hubShard) fanOutLocked(h *Hub, evs []ChangeEvent, moved bool, fx *ingestFx) {
-	x := &s.index
+// fanOutLocked hands evs to the ring watchers in one walk of the index;
+// readers find them in the chain instead. Consecutive events in one interval
+// form a run, and each of the interval's watchers takes the run in one ring
+// append, so cost scales with runs and interested watchers, not with events
+// times watchers. moved is passed on to enqueueRun. The caller holds h.mu.
+func (h *Hub) fanOutLocked(evs []ChangeEvent, moved bool, fx *ingestFx) {
+	x := &h.index
 	for i := 0; i < len(evs) && len(x.lows) > 0; {
 		at := x.find(evs[i].Key)
 		j, tid := i+1, evs[i].Trace
@@ -632,41 +539,37 @@ func (s *hubShard) fanOutLocked(h *Hub, evs []ChangeEvent, moved bool, fx *inges
 				}
 			}
 			n, ok := w.q.enqueueRun(run, w.from, moved)
-			s.delivered += int64(n)
+			h.delivered += int64(n)
 			fx.delivered += int64(n)
 			if !ok {
 				fx.appendOverflow++
-				h.lagOutLocked(w, s, "watcher buffer overflow", tid, fx)
+				h.lagOutLocked(w, "watcher buffer overflow", tid)
 			}
 		}
 	}
 }
 
-// ingestLocked is one shard's part of an ingest call, in one lock hold: it
-// retains the events of evs that s owns, fans them out, raises the frontier
-// over claim to v, and wakes the watchers — ring watchers the claim overlaps
-// and every reader. The raise follows the enqueue under the lock every
-// dispatcher's frontier read takes, so an event the new frontier covers is
-// queued (or in the chain) before any dispatcher can see the frontier.
-// The caller holds s.mu.
-func (s *hubShard) ingestLocked(h *Hub, evs []ChangeEvent, claim keyspace.Range, v Version, fx *ingestFx) {
-	n := fx.appends
+// ingestLocked retains evs, fans them out, raises the frontier over claim
+// to v, and wakes the watchers — ring watchers the claim overlaps and every
+// reader. The raise follows the enqueue under the lock every dispatcher's
+// frontier read takes, so an event the new frontier covers is queued (or in
+// the chain) before any dispatcher can see the frontier. The caller holds
+// h.mu.
+func (h *Hub) ingestLocked(evs []ChangeEvent, claim keyspace.Range, v Version, fx *ingestFx) {
 	for i := range evs {
-		if s.rng.Contains(evs[i].Key) {
-			s.retainLocked(h, &evs[i], fx)
-		}
+		h.retainLocked(&evs[i], fx)
 	}
-	grew, raise := fx.appends > n, !claim.Empty()
+	grew, raise := len(evs) > 0, !claim.Empty()
 	if grew {
-		s.fanOutLocked(h, evs, raise, fx)
+		h.fanOutLocked(evs, raise, fx)
 	}
 	if raise {
-		if uint64(v) > s.maxSeen.Load() {
-			s.maxSeen.Store(uint64(v))
+		if uint64(v) > h.maxSeen.Load() {
+			h.maxSeen.Store(uint64(v))
 		}
-		s.frontier.Raise(claim, v)
-		i, j := s.index.span(claim)
-		for _, list := range s.index.ws[i:j] {
+		h.frontier.Raise(claim, v)
+		i, j := h.index.span(claim)
+		for _, list := range h.index.ws[i:j] {
 			for _, w := range list {
 				if !w.lagged.Load() {
 					w.q.wake()
@@ -674,59 +577,40 @@ func (s *hubShard) ingestLocked(h *Hub, evs []ChangeEvent, claim keyspace.Range,
 			}
 		}
 	}
-	s.publishLocked(h, grew, raise, fx)
-}
-
-// ownsAny reports whether some event of evs falls in s.
-func (s *hubShard) ownsAny(evs []ChangeEvent) bool {
-	for i := range evs {
-		if s.rng.Contains(evs[i].Key) {
-			return true
-		}
-	}
-	return false
+	h.publishLocked(grew, raise, fx)
 }
 
 // ingest is the one ingest path: Append, AppendBatch, Progress and
-// AppendCommit all enter here. Each shard that owns an event of evs or
-// overlaps the claim p (nil: none) is locked once, in ascending order, and
-// settles its whole share in that hold; registry counters and the
-// governor's retention account are settled once per call, outside every
-// lock. Per-key version order holds because batch order is kept within each
-// shard and a key lives in exactly one shard. The hub copies what it
-// retains; the caller keeps ownership of evs.
+// AppendCommit all enter here, and a call carrying events or a non-empty
+// claim p (nil: none) settles in one hold of h.mu. Registry counters and
+// the governor's retention account are settled once per call, outside the
+// lock. The hub copies what it retains; the caller keeps ownership of evs.
 func (h *Hub) ingest(evs []ChangeEvent, p *ProgressEvent) error {
-	// A 1-in-8 sample of the calls that carry events keeps the clock and
-	// the histogram lock off most of them.
-	var start time.Time
-	sample := len(evs) > 0 && h.ingests.Add(1)&7 == 0
-	if sample {
-		start = time.Now()
-	}
-	var fx ingestFx
+	var claim keyspace.Range
 	var v Version
-	for _, s := range h.shards {
-		var claim keyspace.Range
-		if p != nil {
-			claim, v = p.Range.Intersect(s.rng), p.Version
+	if p != nil {
+		claim, v = p.Range, p.Version
+	}
+	if len(evs) > 0 || !claim.Empty() {
+		// A 1-in-8 sample of the calls that carry events keeps the clock and
+		// the histogram lock off most of them.
+		var start time.Time
+		sample := len(evs) > 0 && h.ingests.Add(1)&7 == 0
+		if sample {
+			start = time.Now()
 		}
-		if claim.Empty() && !s.ownsAny(evs) {
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			h.finishLagged(&fx)
-			h.flushIngest(&fx)
+		var fx ingestFx
+		h.mu.Lock()
+		if h.closed {
+			h.mu.Unlock()
 			return ErrClosed
 		}
-		s.ingestLocked(h, evs, claim, v, &fx)
-		s.mu.Unlock()
-	}
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
-	if sample {
-		h.met.appendLatency.ObserveDuration(time.Since(start))
+		h.ingestLocked(evs, claim, v, &fx)
+		h.mu.Unlock()
+		h.flushIngest(&fx)
+		if sample {
+			h.met.appendLatency.ObserveDuration(time.Since(start))
+		}
 	}
 	if p != nil {
 		h.progressCalls.Add(1)
@@ -746,17 +630,16 @@ func (h *Hub) Append(ev ChangeEvent) error {
 	return h.ingest([]ChangeEvent{ev}, nil)
 }
 
-// AppendBatch implements Ingester: it ingests a batch of events, taking each
-// touched shard's lock once instead of once per event.
+// AppendBatch implements Ingester: it ingests a batch of events in one hold
+// of the hub's lock instead of one per event.
 func (h *Hub) AppendBatch(evs []ChangeEvent) error {
 	return h.ingest(evs, nil)
 }
 
 // Progress implements Ingester: the store confirms completeness of the event
-// stream for a range up to a version. The claim is split along shard
-// boundaries; each shard raises its frontier slice and wakes the watchers
-// its range index finds overlapping the clipped claim, so watchers with no
-// overlap are never touched. A claim holds no queue slot: each woken
+// stream for a range up to a version. The hub raises its frontier and wakes
+// the watchers its range index finds overlapping the claim, so watchers
+// with no overlap are never touched. A claim holds no queue slot: each woken
 // dispatcher reads the frontier itself, so progress can never overflow a
 // watcher, and a burst of claims costs a slow watcher one announcement.
 func (h *Hub) Progress(p ProgressEvent) error {
@@ -765,32 +648,28 @@ func (h *Hub) Progress(p ProgressEvent) error {
 
 // AppendCommit implements CommitIngester: one commit's events and then its
 // progress claim, as AppendBatch(evs) followed by Progress(p) would ingest
-// them, but with each touched shard locked once and each touched watcher
-// woken once.
+// them, but with the lock taken once and each touched watcher woken once.
 func (h *Hub) AppendCommit(evs []ChangeEvent, p ProgressEvent) error {
 	return h.ingest(evs, &p)
 }
 
 // FeedStartsAfter implements FeedStart: a hub attached to a source already
-// at version v holds none of the history at or below v, so each shard's
-// eviction horizon rises to v and a watch from before it resyncs.
+// at version v holds none of the history at or below v, so its eviction
+// horizon rises to v and a watch from before it resyncs.
 func (h *Hub) FeedStartsAfter(v Version) {
-	for _, s := range h.shards {
-		s.mu.Lock()
-		if uint64(v) > s.evicted.Load() {
-			s.evicted.Store(uint64(v))
-		}
-		s.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.evicted = max(h.evicted, v)
+	h.mu.Unlock()
 }
 
-// Watch implements Watchable. The watcher registers in every shard its range
-// overlaps; each shard does O(segments) work under its lock — pin the
-// retention chain's segments and record the cut version — and the watcher's
-// dispatch goroutine then streams the replay outside every lock, zero-copy
-// from the pinned arrays, before falling into the live stream. Registration
-// and the replay snapshot are atomic per shard: an append that ran before
-// registration is in the snapshot, one that ran after is enqueued live.
+// Watch implements Watchable. Registration does O(segments) work under the
+// hub's lock — pin the retention chain's segments and record the cut
+// version — and the watcher's dispatch goroutine then streams the replay
+// outside the lock, zero-copy from the pinned arrays, before falling into
+// the live stream. Registration and the replay snapshot are atomic: an
+// append that ran before registration is in the snapshot, one that ran
+// after is enqueued live. A full-range watch is a reader of the chain
+// (reader.go); any other keeps a ring the fan-out feeds.
 func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, error) {
 	if cb == nil {
 		return nil, fmt.Errorf("%w: nil callback", ErrBadWatch)
@@ -814,53 +693,37 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 		return nil, ErrClosed
 	}
 	w := newHubWatcher(h, h.nextID, r, from, cb, h.cfg.WatcherBuffer)
-	w.newReaders(h.shards)
 	h.nextID++
 	h.watchers[w.id] = w
 
-	var fx ingestFx
-	failReason := ""
-	for _, s := range h.shards {
-		clip := r.Intersect(s.rng)
-		if clip.Empty() {
-			continue
-		}
-		s.mu.Lock()
-		if horizon := s.horizonLocked(); from < horizon {
-			// The history this watcher needs is gone from this shard's
-			// soft-state window: tell it immediately rather than delivering a
-			// gapped stream.
-			failReason = fmt.Sprintf("requested version %v predates retained history (evicted through %v)", from, horizon)
-			s.mu.Unlock()
-			break
-		}
-		if clip == s.rng {
-			s.addReaderLocked(h, w)
+	h.mu.Lock()
+	if horizon := h.horizonLocked(); from < horizon {
+		// The history this watcher needs is gone from the soft-state
+		// window: tell it immediately rather than delivering a gapped
+		// stream.
+		h.lagOutLocked(w, fmt.Sprintf("requested version %v predates retained history (evicted through %v)", from, horizon), 0)
+	} else {
+		if w.rd != nil {
+			h.addReaderLocked(w.rd)
 		} else {
-			s.index.add(w, clip)
-			w.ringed = true
+			h.index.add(w, r)
 		}
-		// Pin the shard's retention chain for off-lock replay (arrival order
+		// Pin the retention chain for off-lock replay (arrival order
 		// preserves per-key version order). The events are not copied here:
 		// the dispatch goroutine streams them straight out of the pinned
 		// segment arrays, and a replay larger than the watcher's buffer lags
 		// it out with a resync there — the truncated stream a silent drop
 		// would leave behind is precisely the gapped delivery the contract
 		// forbids.
-		w.replay = s.snapshotReplayLocked(w.replay, clip, from)
-		s.mu.Unlock()
+		w.replay = h.snapshotReplayLocked(w.replay, r, from)
 	}
-	if failReason != "" {
-		h.lagOutLocked(w, nil, failReason, 0, &fx)
-	}
+	h.mu.Unlock()
 	// Announce the current frontier on the first dispatch, after the replay,
 	// so the watcher establishes knowledge without waiting for the next
 	// progress claim.
 	w.q.moved.Store(true)
 	h.met.watchers.Set(int64(len(h.watchers)))
 	h.regMu.Unlock()
-	h.finishLagged(&fx)
-	h.flushIngest(&fx)
 	h.rec.Record(flightrec.KindWatcherAdd, flightrec.Event{
 		Comp: "core.hub", ID: w.id, Version: uint64(from), Detail: r.String(),
 	})
@@ -869,10 +732,10 @@ func (h *Hub) Watch(r keyspace.Range, from Version, cb WatchCallback) (Cancel, e
 	return func() { h.cancel(w) }, nil
 }
 
-// cancel stops the watcher's ring before it leaves any shard: a dispatcher
-// that found a reader already gone would capture nothing and could announce
-// a frontier over events it never delivered, while a stopped ring makes the
-// dispatcher skip both.
+// cancel stops the watcher's ring before it detaches the watcher: a
+// dispatcher that found its reader already gone would capture nothing and
+// could announce a frontier over events it never delivered, while a stopped
+// ring makes the dispatcher skip both.
 func (h *Hub) cancel(w *hubWatcher) {
 	h.regMu.Lock()
 	delete(h.watchers, w.id)
@@ -880,23 +743,16 @@ func (h *Hub) cancel(w *hubWatcher) {
 	h.regMu.Unlock()
 	h.rec.Record(flightrec.KindWatcherRemove, flightrec.Event{Comp: "core.hub", ID: w.id})
 	w.q.stop()
-	for _, s := range h.shards {
-		clip := w.rng.Intersect(s.rng)
-		if clip.Empty() {
-			continue
-		}
-		s.mu.Lock()
-		s.index.remove(w, clip)
-		s.dropReaderLocked(h, w)
-		s.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.detachLocked(w)
+	h.mu.Unlock()
 }
 
 // Wipe discards the hub's entire soft state — retained events and frontier —
 // and resyncs every watcher. It models losing the watch system's storage:
 // per §4.2.2 this costs latency, never data or consistency, because every
 // consumer recovers from the authoritative store. Experiments use it for
-// failure injection. Wipe takes every shard lock (in order), so the wipe is
+// failure injection. Wipe holds the ingest lock throughout, so the wipe is
 // atomic with respect to concurrent ingest.
 func (h *Hub) Wipe() {
 	h.regMu.Lock()
@@ -904,24 +760,20 @@ func (h *Hub) Wipe() {
 	if h.closed {
 		return
 	}
-	for _, s := range h.shards {
-		s.mu.Lock()
-	}
-	for _, s := range h.shards {
-		for _, g := range s.segs {
-			if g.sealed {
-				h.met.sealedSegments.Add(-1)
-				h.met.sealedBytes.Add(-g.bytes)
-			}
-			g.release(&h.segPool)
+	h.mu.Lock()
+	for _, g := range h.segs {
+		if g.sealed {
+			h.met.sealedSegments.Add(-1)
+			h.met.sealedBytes.Add(-g.bytes)
 		}
-		s.segs = nil
-		s.count = 0
-		h.segAcct.Release(s.chargedBytes)
-		s.chargedBytes = 0
-		s.evicted.Store(s.maxSeen.Load())
-		s.frontier = VersionMap{}
+		g.release(&h.segPool)
 	}
+	h.segs = nil
+	h.count = 0
+	h.segAcct.Release(h.chargedBytes)
+	h.chargedBytes = 0
+	h.evicted = Version(h.maxSeen.Load())
+	h.frontier = VersionMap{}
 	min := h.minResyncVersion()
 	for _, w := range h.watchers {
 		// Re-evaluate: everyone resyncs afresh, including previously lagged
@@ -929,61 +781,46 @@ func (h *Hub) Wipe() {
 		w.lagged.Store(true)
 		h.resyncs.Add(1)
 		h.met.resyncs.Inc()
-		for _, s := range h.shards {
-			s.index.remove(w, w.rng.Intersect(s.rng))
-			s.dropReaderLocked(h, w)
-		}
+		h.detachLocked(w)
 		w.q.lagOut(ResyncEvent{Range: w.rng, MinVersion: min, Reason: "watch system state wiped"})
 	}
 	h.met.retained.Set(0)
-	for i := len(h.shards) - 1; i >= 0; i-- {
-		h.shards[i].mu.Unlock()
-	}
+	h.mu.Unlock()
 	h.rec.Record(flightrec.KindHubWipe, flightrec.Event{
 		Comp: "core.hub", Version: uint64(min), N: int64(len(h.watchers)),
 	})
 }
 
-// Frontier returns a copy of the current progress frontier, merged across
-// shards.
+// Frontier returns a copy of the current progress frontier.
 func (h *Hub) Frontier() *VersionMap {
-	return &VersionMap{segs: h.frontierOver(keyspace.Full(), nil)}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.frontier.Clone()
 }
 
-// frontierOver appends the frontier over r to dst, reading each overlapping
-// shard under its lock. Shards are disjoint and ascending, so segments
-// arrive in key order; appendSegment merges equal versions across shard
-// boundaries.
+// frontierOver appends the frontier clipped to r to dst.
 func (h *Hub) frontierOver(r keyspace.Range, dst []RangeVersion) []RangeVersion {
-	for _, s := range h.shards {
-		if !s.rng.Overlaps(r) {
-			continue
+	h.mu.Lock()
+	for _, seg := range h.frontier.Segments() {
+		if fc := seg.Range.Intersect(r); !fc.Empty() {
+			dst = append(dst, RangeVersion{Range: fc, Version: seg.Version})
 		}
-		s.mu.Lock()
-		for _, seg := range s.frontier.Segments() {
-			if fc := seg.Range.Intersect(r); !fc.Empty() {
-				dst = appendSegment(dst, fc, seg.Version)
-			}
-		}
-		s.mu.Unlock()
 	}
+	h.mu.Unlock()
 	return dst
 }
 
 // Stats returns a snapshot of the hub's counters.
 func (h *Hub) Stats() HubStats {
-	st := HubStats{Shards: len(h.shards)}
-	for _, s := range h.shards {
-		s.mu.Lock()
-		st.Appends += s.appends
-		st.Evictions += s.evictions
-		st.Delivered += s.delivered
-		st.RetainedEvents += s.count
-		if v := Version(s.maxSeen.Load()); v > st.MaxSeen {
-			st.MaxSeen = v
-		}
-		s.mu.Unlock()
+	h.mu.Lock()
+	st := HubStats{
+		Appends:        h.appends,
+		Evictions:      h.evictions,
+		Delivered:      h.delivered,
+		RetainedEvents: h.count,
+		MaxSeen:        Version(h.maxSeen.Load()),
 	}
+	h.mu.Unlock()
 	st.ProgressEvents = h.progressCalls.Load()
 	st.Resyncs = h.resyncs.Load()
 	h.regMu.Lock()
@@ -1000,14 +837,11 @@ func (h *Hub) Close() {
 		h.regMu.Unlock()
 		return
 	}
+	h.mu.Lock()
 	h.closed = true
-	for _, s := range h.shards {
-		s.mu.Lock()
-		s.closed = true
-		h.segAcct.Release(s.chargedBytes)
-		s.chargedBytes = 0
-		s.mu.Unlock()
-	}
+	h.segAcct.Release(h.chargedBytes)
+	h.chargedBytes = 0
+	h.mu.Unlock()
 	ws := make([]*hubWatcher, 0, len(h.watchers))
 	for _, w := range h.watchers {
 		ws = append(ws, w)
@@ -1022,9 +856,9 @@ func (h *Hub) Close() {
 
 // hubWatcher is the per-watch delivery state. Callbacks run on a dedicated
 // goroutine so a slow consumer can never block the hub — it simply overflows
-// its own bounded buffer and is resynced. One watcher spans any number of
-// shards: it reads each shard its range covers (reader.go), and every other
-// shard feeds its ring; one dispatch goroutine serializes delivery.
+// its own bounded buffer and is resynced. A full-range watcher reads the
+// hub's chain (reader.go); any other is fed through its ring. One dispatch
+// goroutine serializes delivery.
 type hubWatcher struct {
 	id   int64
 	hub  *Hub
@@ -1035,10 +869,9 @@ type hubWatcher struct {
 	// non-nil switches the dispatch loop to whole-batch event hand-off.
 	batchCB EventBatchCallback
 	q       *ring
-	// readers are the watcher's positions in the shards its range covers,
-	// fixed at registration; ringed reports that some other shard feeds q.
-	readers []*reader
-	ringed  bool
+	// rd is the watcher's position in the chain when its range is the
+	// whole keyspace, fixed at registration; nil means the fan-out feeds q.
+	rd *reader
 	// caps and join are the dispatcher's reusable capture list and joined
 	// batch (see deliver). Owned by the dispatch goroutine.
 	caps []capture
@@ -1074,15 +907,18 @@ func newHubWatcher(h *Hub, id int64, r keyspace.Range, from Version, cb WatchCal
 	w.q.acct = h.ringAcct
 	w.batchCB, _ = cb.(EventBatchCallback)
 	w.lastSeen.Store(uint64(from))
+	if r == keyspace.Full() {
+		w.rd = newReader(w)
+	}
 	return w
 }
 
 // run is the watcher's dispatch loop. Each round it clears the moved flag,
-// reads the frontier over its range, captures each reader's unread log,
+// reads the frontier over its range, captures its reader's unread log,
 // takes every queued event, delivers them, and then announces the frontier
 // segments that changed since the last announcement. That order is what
 // keeps progress truthful: an event the frontier F covers was appended (and
-// queued, for a ring shard) before F was raised, under the shard lock the
+// queued, for a ring watcher) before F was raised, under the hub lock the
 // read takes, so it is in the capture or take that follows the read and is
 // delivered before F is announced. Clearing the flag before the read loses
 // no wake: a raise or publish the read missed sets the flag again. The queue
@@ -1096,7 +932,7 @@ func (w *hubWatcher) run() {
 	for w.q.wait() {
 		w.q.moved.Store(false)
 		next := w.hub.frontierOver(w.rng, w.next[:0])
-		caps := w.captureAll(w.caps[:0])
+		caps := w.capture(w.caps[:0])
 		evs, rs, high, open := w.q.take(spare)
 		if high > 0 {
 			w.hub.met.queueHighwater.Max(int64(high))

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"unbundle/internal/flightrec"
@@ -59,6 +61,15 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// numericSplit partitions the numeric keys [0, n) into p contiguous ranges.
+func numericSplit(n, p int) []keyspace.Range {
+	out := make([]keyspace.Range, p)
+	for i := range out {
+		out[i] = keyspace.NumericRange(i*n/p, (i+1)*n/p)
+	}
+	return out
 }
 
 func put(k string, v Version) ChangeEvent {
@@ -142,7 +153,7 @@ func TestHubPerKeyOrder(t *testing.T) {
 }
 
 // TestHubHorizonOfTrimmedHeadSegment: retention 200 gives 64-event segments,
-// so 300 appends to one shard retire the first segment and trim 36 slots of
+// so 300 appends retire the first segment and trim 36 slots of
 // the next, through version 100. A watch from 99 resyncs and a watch from 100
 // does not, whether the head segment's versions arrived sorted or in swapped
 // pairs (its last trimmed slot then holds 99). The governor's hub account
@@ -161,7 +172,7 @@ func TestHubHorizonOfTrimmedHeadSegment(t *testing.T) {
 			gov := govern.NewGovernor(govern.Config{Budget: 1 << 30, Metrics: metrics.NewRegistry()})
 			defer gov.Close()
 			acct := gov.Account("hub")
-			h := NewHub(HubConfig{Shards: 1, Retention: 200, Metrics: metrics.NewRegistry(), Governor: gov})
+			h := NewHub(HubConfig{Retention: 200, Metrics: metrics.NewRegistry(), Governor: gov})
 			defer h.Close()
 			var evs []ChangeEvent
 			for i := 1; i <= 300; i++ {
@@ -357,11 +368,11 @@ func TestHubFrontierQuery(t *testing.T) {
 // progress claim adds: raising the frontier, waking each overlapping watcher
 // and its dispatcher's read and announcement allocate nothing.
 func TestHubProgressAllocatesNothing(t *testing.T) {
-	h := NewHub(HubConfig{Shards: 1, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	const watchers = 8
 	var delivered atomic.Int64
-	for _, r := range keyspace.EvenSplit(1024, watchers) {
+	for _, r := range numericSplit(1024, watchers) {
 		cancel, err := h.Watch(r, NoVersion, Funcs{Progress: func(ProgressEvent) { delivered.Add(1) }})
 		if err != nil {
 			t.Fatal(err)
@@ -547,10 +558,10 @@ func TestHubManyWatchersFanout(t *testing.T) {
 	defer h.Close()
 	const nw = 16
 	cols := make([]*collector, nw)
-	shards := keyspace.EvenSplit(1600, nw)
+	ranges := numericSplit(1600, nw)
 	for i := range cols {
 		cols[i] = &collector{}
-		cancel, err := h.Watch(shards[i], NoVersion, cols[i])
+		cancel, err := h.Watch(ranges[i], NoVersion, cols[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,7 +571,7 @@ func TestHubManyWatchersFanout(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Append(ChangeEvent{Key: keyspace.NumericKey(i), Mut: Mutation{Op: OpPut}, Version: Version(i + 1)})
 	}
-	waitUntil(t, "all shards delivered", func() bool {
+	waitUntil(t, "all ranges delivered", func() bool {
 		total := 0
 		for _, c := range cols {
 			evs, _, _ := c.snapshot()
@@ -568,12 +579,12 @@ func TestHubManyWatchersFanout(t *testing.T) {
 		}
 		return total == n
 	})
-	// Range watches mean each watcher received only its shard (§4.4
+	// Range watches mean each watcher received only its range (§4.4
 	// efficiency: consumers receive only the events they need).
 	for i, c := range cols {
 		evs, _, _ := c.snapshot()
 		for _, ev := range evs {
-			if !shards[i].Contains(ev.Key) {
+			if !ranges[i].Contains(ev.Key) {
 				t.Fatalf("watcher %d got out-of-range key %q", i, string(ev.Key))
 			}
 		}
@@ -966,7 +977,7 @@ func TestHubRefusedWatchIsRecorded(t *testing.T) {
 	rec := flightrec.New(flightrec.Config{Metrics: reg})
 	gov := govern.NewGovernor(govern.Config{Budget: 1 << 20, Metrics: reg})
 	defer gov.Close()
-	h := NewHub(HubConfig{Shards: 1, Metrics: reg, Recorder: rec, Governor: gov})
+	h := NewHub(HubConfig{Metrics: reg, Recorder: rec, Governor: gov})
 	defer h.Close()
 	gov.Account("test").Charge(1 << 20) // straight to Reject
 	if _, err := h.Watch(keyspace.Prefix("a/"), NoVersion, &collector{}); !errors.Is(err, govern.ErrOverloaded) {
@@ -983,5 +994,333 @@ func TestHubRefusedWatchIsRecorded(t *testing.T) {
 	}
 	if len(refused) != 1 || refused[0].Comp != "core.hub" || !strings.Contains(refused[0].Detail, keyspace.Prefix("a/").String()) {
 		t.Fatalf("watch-refused records = %+v, want one from core.hub naming the range", refused)
+	}
+}
+
+// watcherRing digs a registered watcher's delivery queue out of the hub, so
+// tests can assert on its counts (e.g. "this fanout never touched that
+// watcher").
+func watcherRing(h *Hub, id int64) *ring {
+	h.regMu.Lock()
+	defer h.regMu.Unlock()
+	w := h.watchers[id]
+	if w == nil {
+		return nil
+	}
+	return w.q
+}
+
+// TestHubDeliveredMetricsMatchStats is the regression test for the metrics
+// drift bug: the retained-window replay used to bump the hub's internal
+// delivered counter but not core_hub_delivered_total, so Stats() and the
+// registry disagreed after any replaying watch.
+func TestHubDeliveredMetricsMatchStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	h := NewHub(HubConfig{Metrics: reg})
+	defer h.Close()
+	for i := 1; i <= 50; i++ {
+		h.Append(put("k", Version(i)))
+	}
+	var c collector
+	cancel, err := h.Watch(keyspace.Full(), 0, &c) // replays all 50
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	for i := 51; i <= 60; i++ { // then some live deliveries on top
+		h.Append(put("k", Version(i)))
+	}
+	waitUntil(t, "all deliveries", func() bool {
+		evs, _, _ := c.snapshot()
+		return len(evs) == 60
+	})
+	internal := h.Stats().Delivered
+	registry := reg.Snapshot().Counters["core_hub_delivered_total"]
+	if internal != 60 {
+		t.Fatalf("Stats().Delivered = %d, want 60", internal)
+	}
+	if registry != internal {
+		t.Fatalf("core_hub_delivered_total = %d, Stats().Delivered = %d — counters drifted", registry, internal)
+	}
+}
+
+// TestHubProgressShardIsolation: a progress claim over one watcher's key
+// range — shard A of a keyspace an auto-sharder would split — must never
+// touch a watcher of the disjoint shard B, not even with a wake: the range
+// index wakes only the watchers a claim overlaps. The watcher's ring touch
+// counter proves "never touched".
+func TestHubProgressShardIsolation(t *testing.T) {
+	h := NewHub(HubConfig{})
+	defer h.Close()
+	// Watcher A covers [0,1000), watcher B [1000,2000). IDs are assigned in
+	// Watch order starting at 0.
+	var a, b collector
+	cancelA, err := h.Watch(keyspace.NumericRange(0, 1000), NoVersion, &a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelA()
+	cancelB, err := h.Watch(keyspace.NumericRange(1000, 2000), NoVersion, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelB()
+
+	for i := 0; i < 10; i++ {
+		if err := h.Progress(ProgressEvent{Range: keyspace.NumericRange(0, 1000), Version: Version(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "A's progress", func() bool {
+		_, ps, _ := a.snapshot()
+		return len(ps) >= 1 && ps[len(ps)-1].Version == 10
+	})
+	if got := watcherRing(h, 1).touches(); got != 0 {
+		t.Fatalf("watcher B was touched %d times by progress over A", got)
+	}
+	// Sanity: the claim reached A clipped to its range.
+	_, ps, _ := a.snapshot()
+	for _, p := range ps {
+		if p.Range != keyspace.NumericRange(0, 1000) {
+			t.Fatalf("progress range = %v, want [0,1000)", p.Range)
+		}
+	}
+}
+
+// TestHubProgressCoalescing: claims raised while the watcher is busy reach
+// it as one announcement of the newest frontier — a burst of same-range
+// ticks costs a wedged watcher nothing and can never lag it out.
+func TestHubProgressCoalescing(t *testing.T) {
+	h := NewHub(HubConfig{WatcherBuffer: 4})
+	defer h.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var got []ProgressEvent
+	var resyncs int
+	cb := Funcs{
+		Progress: func(p ProgressEvent) {
+			mu.Lock()
+			got = append(got, p)
+			mu.Unlock()
+			once.Do(func() { close(entered) })
+			<-release
+		},
+		Resync: func(ResyncEvent) { mu.Lock(); resyncs++; mu.Unlock() },
+	}
+	cancel, err := h.Watch(keyspace.Full(), NoVersion, cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	h.Progress(ProgressEvent{Range: keyspace.Full(), Version: 1})
+	<-entered // consumer wedged inside the first claim's callback
+	// Far more same-range claims than the watcher buffer holds.
+	for i := 2; i <= 40; i++ {
+		h.Progress(ProgressEvent{Range: keyspace.Full(), Version: Version(i)})
+	}
+	close(release)
+	waitUntil(t, "final coalesced claim", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) >= 2 && got[len(got)-1].Version == 40
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if resyncs != 0 {
+		t.Fatalf("same-range progress burst lagged the watcher out (%d resyncs)", resyncs)
+	}
+	// The 39 queued claims collapsed into very few deliveries (the wedged one
+	// plus whatever raced in during drains), each newer than the last.
+	if len(got) > 5 {
+		t.Fatalf("got %d progress deliveries for 40 same-range claims — not coalescing", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Version <= got[i-1].Version {
+			t.Fatalf("coalesced claims out of order: %v", got)
+		}
+	}
+}
+
+// TestQuickHubAppendBatchPerKeyOrder is the batch ordering property test:
+// randomized batches with interleaved keys, fed through AppendBatch, must
+// reach every overlapping watcher — the reader and ring watchers with
+// overlapping ranges — complete and in per-key version order.
+func TestQuickHubAppendBatchPerKeyOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHub(HubConfig{Retention: 1 << 14, WatcherBuffer: 1 << 14})
+		defer h.Close()
+
+		type watchState struct {
+			rng  keyspace.Range
+			mu   sync.Mutex
+			evs  []ChangeEvent
+			want int
+		}
+		// A full-range reader plus overlapping ring watchers.
+		ranges := []keyspace.Range{
+			keyspace.Full(),
+			keyspace.NumericRange(0, 2000),
+			keyspace.NumericRange(500, 3500),
+			{Low: keyspace.NumericKey(2500), High: keyspace.Inf},
+		}
+		var watchers []*watchState
+		for _, r := range ranges {
+			ws := &watchState{rng: r}
+			watchers = append(watchers, ws)
+			cancel, err := h.Watch(r, NoVersion, Funcs{Event: func(ev ChangeEvent) {
+				ws.mu.Lock()
+				ws.evs = append(ws.evs, ev)
+				ws.mu.Unlock()
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+		}
+
+		// Randomized batches: random sizes, random keys, versions globally increasing (as a commit-ordered CDC feed would
+		// produce).
+		version := Version(0)
+		total := 400 + rng.Intn(400)
+		var batch []ChangeEvent
+		for sent := 0; sent < total; {
+			batch = batch[:0]
+			n := 1 + rng.Intn(24)
+			for i := 0; i < n && sent < total; i++ {
+				version++
+				k := keyspace.NumericKey(rng.Intn(4000))
+				ev := ChangeEvent{Key: k, Mut: Mutation{Op: OpPut, Value: []byte("v")}, Version: version}
+				batch = append(batch, ev)
+				for _, ws := range watchers {
+					if ws.rng.Contains(k) {
+						ws.want++
+					}
+				}
+				sent++
+			}
+			if err := h.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		deadline := time.Now().Add(5 * time.Second)
+		for _, ws := range watchers {
+			for {
+				ws.mu.Lock()
+				done := len(ws.evs) >= ws.want
+				ws.mu.Unlock()
+				if done || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			ws.mu.Lock()
+			evs, want := append([]ChangeEvent(nil), ws.evs...), ws.want
+			ws.mu.Unlock()
+			if len(evs) != want {
+				t.Logf("watcher %v: delivered %d events, want %d", ws.rng, len(evs), want)
+				return false
+			}
+			last := map[keyspace.Key]Version{}
+			for _, ev := range evs {
+				if !ws.rng.Contains(ev.Key) {
+					t.Logf("watcher %v: out-of-range key %q", ws.rng, ev.Key)
+					return false
+				}
+				if ev.Version <= last[ev.Key] {
+					t.Logf("watcher %v: key %q version %v after %v", ws.rng, ev.Key, ev.Version, last[ev.Key])
+					return false
+				}
+				last[ev.Key] = ev.Version
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHubWedgedWatcherNeverBlocksAppends: a ring watcher wedged inside its
+// first callback holds up no append. Every append returns while it stays
+// wedged; the one whose event no longer fits the watcher's buffer lags it
+// out, at that append's version, and once released the watcher gets exactly
+// one resync and no event past the wedged one.
+func TestHubWedgedWatcherNeverBlocksAppends(t *testing.T) {
+	const buffer, n = 16, 2000
+	reg := metrics.NewRegistry()
+	h := NewHub(HubConfig{Retention: 64, WatcherBuffer: buffer, Metrics: reg})
+	defer h.Close()
+	wedged, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var mu sync.Mutex
+	var events int
+	var resyncs []ResyncEvent
+	cancel, err := h.Watch(keyspace.NumericRange(0, 1000), NoVersion, Funcs{
+		Event: func(ChangeEvent) {
+			once.Do(func() { close(wedged); <-release })
+			mu.Lock()
+			events++
+			mu.Unlock()
+		},
+		Resync: func(r ResyncEvent) {
+			mu.Lock()
+			resyncs = append(resyncs, r)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	key := keyspace.NumericKey(500)
+	h.Append(ChangeEvent{Key: key, Mut: Mutation{Op: OpPut}, Version: 1})
+	<-wedged
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 2; i <= n; i++ {
+			if err := h.Append(ChangeEvent{Key: key, Mut: Mutation{Op: OpPut}, Version: Version(i)}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatalf("appends blocked behind a wedged watcher")
+	}
+	st := h.Stats()
+	if st.Appends != n || st.Resyncs != 1 {
+		t.Fatalf("while wedged: %d appends, %d resyncs, want %d and 1", st.Appends, st.Resyncs, n)
+	}
+	if got := reg.Snapshot().Counters["core_hub_append_overflow_total"]; got != 1 {
+		t.Fatalf("append overflows = %d, want 1", got)
+	}
+	close(release)
+	waitUntil(t, "the resync", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(resyncs) == 1
+	})
+	h.Append(ChangeEvent{Key: key, Mut: Mutation{Op: OpPut}, Version: n + 1})
+	mu.Lock()
+	defer mu.Unlock()
+	// The ring held versions 2..buffer+1 when version buffer+2 overflowed it.
+	if want := Version(buffer + 2); resyncs[0].MinVersion != want {
+		t.Fatalf("resync MinVersion = %v, want %v", resyncs[0].MinVersion, want)
+	}
+	if events != 1 {
+		t.Fatalf("lagged watcher got %d events, want only the wedged one", events)
 	}
 }

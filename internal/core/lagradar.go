@@ -13,11 +13,11 @@ import (
 // questions the paper's staleness discussion (§3.1) turns on: how many
 // versions behind the hub's ingest frontier is this consumer, and for how
 // long has it been behind? Version lag comes from comparing the watcher's
-// consumed position against the per-shard ingest high-water marks;
+// consumed position against the hub's ingest high-water mark;
 // time-behind comes from the verClock, a bounded ring of (version, instant)
 // checkpoints recorded as progress raises the frontier. Both read only
-// atomics and the checkpoint ring, so scraping the radar never touches a
-// shard lock or an ingest path.
+// atomics and the checkpoint ring, so scraping the radar never touches the
+// ingest lock or an ingest path.
 
 // WatcherLag is one watcher's staleness snapshot.
 type WatcherLag struct {
@@ -30,9 +30,8 @@ type WatcherLag struct {
 	// LastSeen is the highest version the watcher has consumed, via a
 	// delivered change event or an announced frontier.
 	LastSeen Version `json:"last_seen"`
-	// Frontier is the highest version the hub has ingested over the
-	// watcher's range (the max of the overlapping shards' high-water marks —
-	// the same quantity HubStats.MaxSeen reports hub-wide).
+	// Frontier is the highest version the hub has ingested — the same
+	// quantity HubStats.MaxSeen reports.
 	Frontier Version `json:"frontier"`
 	// VersionLag = Frontier - LastSeen (0 when caught up).
 	VersionLag uint64 `json:"version_lag"`
@@ -41,7 +40,7 @@ type WatcherLag struct {
 	// brackets the position (e.g. progress-free workloads).
 	TimeBehind time.Duration `json:"time_behind_ns"`
 	// QueueDepth is the watcher's undelivered event count right now: its
-	// ring's depth plus its readers' unread events.
+	// ring's depth or its reader's unread events.
 	QueueDepth int `json:"queue_depth"`
 	// Delivered counts change events dispatched to the callback so far.
 	Delivered int64 `json:"delivered"`
@@ -119,16 +118,8 @@ func (h *Hub) WatcherLags() []WatcherLag {
 	sort.Slice(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
 
 	out := make([]WatcherLag, 0, len(ws))
+	frontier := h.maxSeen.Load()
 	for _, w := range ws {
-		var frontier uint64
-		for _, s := range h.shards {
-			if w.rng.Intersect(s.rng).Empty() {
-				continue
-			}
-			if v := s.maxSeen.Load(); v > frontier {
-				frontier = v
-			}
-		}
 		last := w.lastSeen.Load()
 		wl := WatcherLag{
 			ID:         w.id,
@@ -136,7 +127,7 @@ func (h *Hub) WatcherLags() []WatcherLag {
 			From:       w.from,
 			LastSeen:   Version(last),
 			Frontier:   Version(frontier),
-			QueueDepth: w.q.depth() + w.unread(),
+			QueueDepth: w.backlog(),
 			Delivered:  w.nDelivered.Load(),
 			Lagged:     w.lagged.Load(),
 		}

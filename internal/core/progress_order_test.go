@@ -176,16 +176,16 @@ func (s *orderSink) settled(frontier *VersionMap) (bool, string) {
 // AppendCommit — drawn from a stream of their own, so the rest of the
 // interleaving is the one the unfolded arm draws. The test models the
 // frontier from the claims it makes, and settling requires the hub's
-// frontier to be exactly that model: a shard that drops a claim's raise
-// fails here even when no watcher is left to notice.
+// frontier to be exactly that model: a hub that drops a claim's raise fails
+// here even when no watcher is left to notice.
 //
 // With readers set, the interleaving is biased toward the reader path: most
-// watches cover whole shards, every consumer stalls at random, the buffer is
+// watches are full-range, every consumer stalls at random, the buffer is
 // small enough that stalled readers lag out mid-stream, and a cancel
 // usually lands right after a commit has woken every dispatcher.
-func runProgressOrderSeed(seed int64, shards int, readers bool) string {
+func runProgressOrderSeed(seed int64, readers bool) string {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := HubConfig{Shards: shards, Retention: 1 << 12, WatcherBuffer: 32, Metrics: metrics.NewRegistry()}
+	cfg := HubConfig{Retention: 1 << 12, WatcherBuffer: 32, Metrics: metrics.NewRegistry()}
 	if readers {
 		cfg.Retention, cfg.WatcherBuffer = 256, 24
 	}
@@ -198,26 +198,10 @@ func runProgressOrderSeed(seed int64, shards int, readers bool) string {
 		claimed.Raise(p.Range, p.Version)
 		return p
 	}
-	// bounds are the shard boundaries: a range between two of them covers
-	// whole shards, so its watch reads those shards' logs.
-	var bounds []keyspace.Key
-	for _, r := range keyspace.EvenSplit(shards*1000, shards) {
-		bounds = append(bounds, r.Low)
-	}
-	bounds = append(bounds, keyspace.Inf)
+	// A full-range watch reads the hub's log.
 	randRange := func() keyspace.Range {
-		if rng.Intn(4) == 0 {
+		if rng.Intn(4) == 0 || readers && rng.Intn(3) > 0 {
 			return keyspace.Full()
-		}
-		if readers && rng.Intn(3) > 0 {
-			a, b := rng.Intn(len(bounds)), rng.Intn(len(bounds))
-			if a > b {
-				a, b = b, a
-			}
-			if a == b {
-				return keyspace.Full()
-			}
-			return keyspace.Range{Low: bounds[a], High: bounds[b]}
 		}
 		a, b := rng.Intn(4000), rng.Intn(4000)
 		if a > b {
@@ -290,8 +274,8 @@ func runProgressOrderSeed(seed int64, shards int, readers bool) string {
 			}
 			picked := []int{rng.Intn(len(sinks))}
 			if readers {
-				// Cancel while commits take the shard locks the cancels
-				// walk and wake the dispatchers they race.
+				// Cancel while commits take the hub lock the cancels take
+				// and wake the dispatchers they race.
 				for k := rng.Intn(3); k > 0; k-- {
 					picked = append(picked, rng.Intn(len(sinks)))
 				}
@@ -300,15 +284,15 @@ func runProgressOrderSeed(seed int64, shards int, readers bool) string {
 					wg.Add(1)
 					go func(c Cancel) { c(); wg.Done() }(cancels[i])
 				}
-				// A slow ingest call: one shard's lock held while the
-				// cancels walk the shards and the dispatchers read them.
+				// A slow ingest call: the hub lock held while the cancels
+				// and the dispatchers wait for it.
 				wg.Add(1)
-				go func(s *hubShard, d time.Duration) {
-					s.mu.Lock()
+				go func(d time.Duration) {
+					h.mu.Lock()
 					time.Sleep(d)
-					s.mu.Unlock()
+					h.mu.Unlock()
 					wg.Done()
-				}(h.shards[rng.Intn(shards)], time.Duration(rng.Intn(100))*time.Microsecond)
+				}(time.Duration(rng.Intn(100)) * time.Microsecond)
 				for k := rng.Intn(8); k >= 0; k-- {
 					if why := commit(); why != "" {
 						return why
@@ -361,42 +345,39 @@ func runProgressOrderSeed(seed int64, shards int, readers bool) string {
 }
 
 // TestHubProgressNeverPassesUndeliveredEvent is the delivery property as a
-// model check over seeded random interleavings, at one shard and at four:
-// no watcher is told progress (r, v) while an event in r at or below v is
-// undelivered, no claim is announced twice, and every open watcher ends
-// told exactly the hub's frontier over its range, holding every event.
+// model check over seeded random interleavings: no watcher is told progress
+// (r, v) while an event in r at or below v is undelivered, no claim is
+// announced twice, and every open watcher ends told exactly the hub's
+// frontier over its range, holding every event.
 //
-// The readers arm is accepted by mutation. Each of these failed it in 20 of
-// 20 runs of its 2×60 seed-runs (interleavings are timing-dependent, so a
-// seed catches a mutation often, not always):
-//   - cancel drops the reader before it stops the ring: 1–5 seed-runs a
-//     run, all at shards=4, most often seed 43 (17 of 20 runs), then 48;
-//   - delivery of a capture stops at a lag-out: 68–79 seed-runs a run,
-//     among them shards=1 seeds 8, 13, 17 and 20 in nearly every run;
-//   - the dispatcher captures before it reads the frontier: 9–20 a run,
-//     most often shards=4 seeds 9, 19, 28 and 29.
+// The readers arm is accepted by mutation. Each mutation below ran 20 times
+// against the whole sweep (30 ring seeds, 60 readers seeds), logging every
+// failing seed; interleavings are timing-dependent, so a seed catches a
+// mutation often, not always:
+//   - delivery of a capture stops at a lag-out (deliverRun returns at its
+//     first event after the watcher is lagged): 27–41 seed-runs failed in
+//     each of the 20 runs, readers seeds 4, 8, 36, 37, 41 and 52 in all;
+//   - the dispatcher captures before it reads the frontier: 1–9 a run, in
+//     20 of 20 runs, most often ring seeds 13 and 24 and readers seed 24;
+//   - cancel drops the reader before it stops the ring: caught in only 4
+//     of 20 runs (readers seeds 28, 29 and 59), because under one lock the
+//     window is a few instructions wide. TestCancelStopsRingBeforeDetaching
+//     pins that order deterministically and fails 20 of 20 runs under it.
 //
-// The folded arm (half the commits through AppendCommit, in both arms) is
-// accepted against two mutations of AppendCommit:
-//   - a first pass raises every shard's frontier and a second appends the
-//     events: 1–43 of the 180 seed-runs failed in each of 20 runs, at
-//     shards=4 in all 20 (1–29 a run), every one a progress claim announced
-//     before its event; no seed catches it in more than 6 of 20 runs (ring
-//     arm seeds 19 and 23), so the sweep, not a seed, is the check;
-//   - a shard holding none of the commit's events skips its raise: 31
-//     seed-runs in every run, all at shards=4 (7 ring, 24 readers), each
-//     caught by the frontier check before any watcher is waited on.
+// Two mutations the sweep was once accepted against were deleted with
+// in-process hub sharding: a first pass raising every shard's frontier
+// before a second appended the events, and a shard holding none of a
+// commit's events skipping its raise. The hub now raises once, after it
+// appends, in the same lock hold.
 func TestHubProgressNeverPassesUndeliveredEvent(t *testing.T) {
 	for _, readers := range []bool{false, true} {
-		for _, shards := range []int{1, 4} {
-			seeds := int64(30)
-			if readers {
-				seeds = 60
-			}
-			for seed := int64(1); seed <= seeds; seed++ {
-				if why := runProgressOrderSeed(seed, shards, readers); why != "" {
-					t.Fatalf("readers=%v shards=%d seed=%d: %s", readers, shards, seed, why)
-				}
+		seeds := int64(30)
+		if readers {
+			seeds = 60
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			if why := runProgressOrderSeed(seed, readers); why != "" {
+				t.Fatalf("readers=%v seed=%d: %s", readers, seed, why)
 			}
 		}
 	}

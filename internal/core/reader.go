@@ -6,38 +6,35 @@ import (
 	"sync/atomic"
 )
 
-// A watcher whose range covers a whole shard does not need that shard's
-// events copied into its ring: it wants every one of them, and the shard's
-// retention chain already holds them once, in arrival order, in slots that
-// are written once and never rewritten (segment.go). Such a watcher is a
-// reader of the shard — a position in the chain — instead of an entry in
-// the shard's range index. An append does no per-reader work; once per
-// ingest call the shard lag-checks its readers and wakes them, and each
-// reader's dispatcher captures everything between its position and the tail
-// under the shard lock and streams it outside the lock (see hubWatcher.run).
+// A full-range watcher does not need the hub's events copied into its
+// ring: it wants every one of them, and the retention chain already holds
+// them once, in arrival order, in slots that are written once and never
+// rewritten (segment.go). Such a watcher is a reader of the chain — a
+// position in it — instead of an entry in the hub's range index. An append
+// does no per-reader work; once per ingest call the hub lag-checks its
+// readers and wakes them, and each reader's dispatcher captures everything
+// between its position and the tail under the hub lock and streams it
+// outside the lock (see hubWatcher.run).
 //
 // A reader pins every segment from its position to the tail, so eviction
 // from the chain never cuts a reader short; what bounds a reader is the
-// watcher's buffer, checked per batch (publishLocked). A narrow watcher —
-// one whose range only clips a shard — keeps its ring for that shard: the
-// chain interleaves keys it does not want, and filtering them per dispatch
-// would cost it more than the ring copy does.
+// watcher's buffer, checked per batch (publishLocked). A narrower watcher
+// keeps its ring: the chain interleaves keys it does not want, and
+// filtering them per dispatch would cost it more than the ring copy does.
 type reader struct {
 	w *hubWatcher
-	s *hubShard
 
-	// segs are the segments from the reader's position to the shard's tail,
-	// each holding one reference for the reader; off indexes the first
-	// unread event of segs[0]. gone marks a reader not in its shard — not
-	// yet added, or dropped (lag-out, cancel, wipe) with its pins released.
-	// All three are guarded by s.mu.
+	// segs are the segments from the reader's position to the tail, each
+	// holding one reference for the reader; off indexes the first unread
+	// event of segs[0]. segs is empty while the reader is not in the hub —
+	// not yet added, or dropped (lag-out, cancel, wipe) with its pins
+	// released. Both are guarded by h.mu.
 	segs []*segment
 	off  int
-	gone bool
 
-	// pos is the shard log position (its append count) of the reader's
-	// first unread event. Written under s.mu, read atomically by lag checks
-	// in other shards and by the lag radar.
+	// pos is the log position (the hub's append count) of the reader's
+	// first unread event. Written under h.mu, read atomically by the lag
+	// radar.
 	pos atomic.Int64
 }
 
@@ -50,78 +47,66 @@ type capture struct {
 	n   int
 }
 
-// newReaders gives w one reader per shard its range covers, before w is
-// registered anywhere: w.readers never changes once another shard can see
-// it. A reader reads nothing and counts no backlog until its shard adds it.
-func (w *hubWatcher) newReaders(shards []*hubShard) {
-	for _, s := range shards {
-		if w.rng.Intersect(s.rng) == s.rng {
-			r := &reader{w: w, s: s, gone: true}
-			r.pos.Store(math.MaxInt64)
-			w.readers = append(w.readers, r)
-		}
-	}
+// newReader returns w's reader, not yet in the hub: it reads nothing and
+// counts no backlog until addReaderLocked.
+func newReader(w *hubWatcher) *reader {
+	r := &reader{w: w}
+	r.pos.Store(math.MaxInt64)
+	return r
 }
 
-// addReaderLocked registers w's reader of s positioned at the tail: the
-// retained chain before it is w's replay, everything after it is w's live
-// stream. Caller holds s.mu.
-func (s *hubShard) addReaderLocked(h *Hub, w *hubWatcher) {
-	for _, r := range w.readers {
-		if r.s != s {
-			continue
-		}
-		tail := s.tailLocked(h)
-		tail.acquire()
-		r.segs, r.off, r.gone = append(r.segs, tail), len(tail.evs), false
-		r.pos.Store(s.appends)
-		s.readers = append(s.readers, r)
+// addReaderLocked positions r at the tail: the retained chain before it is
+// its watcher's replay, everything after it the live stream. Caller holds
+// h.mu.
+func (h *Hub) addReaderLocked(r *reader) {
+	tail := h.tailLocked()
+	tail.acquire()
+	r.segs, r.off = append(r.segs, tail), len(tail.evs)
+	r.pos.Store(h.appends)
+	h.readers = append(h.readers, r)
+}
+
+// dropReaderLocked removes r from the hub, if it is in it, and releases its
+// pins: a wedged or departed watcher holds no segment past this point.
+// Caller holds h.mu.
+func (h *Hub) dropReaderLocked(r *reader) {
+	if len(r.segs) == 0 {
 		return
 	}
-}
-
-// dropReaderLocked removes w's reader from s, if it has one, and releases
-// its pins: a wedged or departed watcher holds no segment past this point.
-// Caller holds s.mu.
-func (s *hubShard) dropReaderLocked(h *Hub, w *hubWatcher) {
-	for i, r := range s.readers {
-		if r.w != w {
-			continue
-		}
-		s.readers = slices.Delete(s.readers, i, i+1)
-		for _, g := range r.segs {
-			g.release(&h.segPool)
-		}
-		r.segs, r.gone = nil, true
-		r.pos.Store(s.appends)
-		return
+	if i := slices.Index(h.readers, r); i >= 0 {
+		h.readers = slices.Delete(h.readers, i, i+1)
 	}
+	for _, g := range r.segs {
+		g.release(&h.segPool)
+	}
+	r.segs = nil
+	r.pos.Store(h.appends)
 }
 
-// pinTailLocked gives every reader of s a reference on the tail the chain
-// just opened. Caller holds s.mu.
-func (s *hubShard) pinTailLocked(tail *segment) {
-	for _, r := range s.readers {
+// pinTailLocked gives every reader a reference on the tail the chain just
+// opened. Caller holds h.mu.
+func (h *Hub) pinTailLocked(tail *segment) {
+	for _, r := range h.readers {
 		tail.acquire()
 		r.segs = append(r.segs, tail)
 	}
 }
 
-// publishLocked ends one ingest call's work in s: it publishes the log
-// length, then — once per call, never per event — lag-checks each reader
-// when the log grew and wakes it: a touch when the frontier moved, a nudge
-// when only the log did. Caller holds s.mu.
-func (s *hubShard) publishLocked(h *Hub, grew, moved bool, fx *ingestFx) {
-	s.logLen.Store(s.appends)
-	// Backwards, because a lag-out removes the reader from s.readers.
-	for i := len(s.readers) - 1; i >= 0; i-- {
-		w := s.readers[i].w
+// publishLocked ends one ingest call's work: it publishes the log length,
+// then — once per call, never per event — lag-checks each reader when the
+// log grew and wakes it: a touch when the frontier moved, a nudge when only
+// the log did. Caller holds h.mu.
+func (h *Hub) publishLocked(grew, moved bool, fx *ingestFx) {
+	h.logLen.Store(h.appends)
+	// Backwards, because a lag-out removes the reader from h.readers.
+	for i := len(h.readers) - 1; i >= 0; i-- {
+		w := h.readers[i].w
 		if w.lagged.Load() {
 			continue
 		}
 		if grew && w.backlog() > h.cfg.WatcherBuffer {
 			fx.appendOverflow++
-			h.lagOutLocked(w, s, "watcher buffer overflow", 0, fx)
+			h.lagOutLocked(w, "watcher buffer overflow", 0)
 			continue
 		}
 		if moved {
@@ -132,45 +117,40 @@ func (s *hubShard) publishLocked(h *Hub, grew, moved bool, fx *ingestFx) {
 	}
 }
 
-// unread is the number of events between the reader's position and its
-// shard's published log length.
-func (r *reader) unread() int {
-	return max(int(r.s.logLen.Load()-r.pos.Load()), 0)
-}
-
-// unread sums the watcher's readers' unread events.
+// unread is the number of events between the watcher's reader position and
+// the hub's published log length; 0 for a ring watcher.
 func (w *hubWatcher) unread() int {
-	n := 0
-	for _, r := range w.readers {
-		n += r.unread()
+	if w.rd == nil {
+		return 0
 	}
-	return n
+	return max(int(w.hub.logLen.Load()-w.rd.pos.Load()), 0)
 }
 
-// backlog is the watcher's undelivered event count — its readers' unread
-// events plus its ring's depth — the quantity WatcherBuffer bounds.
+// backlog is the watcher's undelivered event count — its reader's unread
+// events or its ring's depth — the quantity WatcherBuffer bounds.
 func (w *hubWatcher) backlog() int {
-	n := w.unread()
-	if w.ringed {
-		n += w.q.depth()
+	if w.rd != nil {
+		return w.unread()
 	}
-	return n
+	return w.q.depth()
 }
 
-// capture appends the reader's unread events to caps as pinned pieces and
-// moves the reader to the tail. The capture owns one reference per piece:
-// the reader's own pin on each fully read segment passes to it, and the
-// tail gets an extra one. A capture is therefore a take — it stays readable
-// and is delivered whole even if the watcher is lagged out or its reader
-// dropped before delivery ends. It returns the number of deliverable events,
-// which the shard counts here, before any callback runs.
-func (r *reader) capture(h *Hub, caps []capture) ([]capture, int) {
-	s := r.s
-	from := r.w.from
-	s.mu.Lock()
-	if r.gone || r.w.lagged.Load() {
-		s.mu.Unlock()
-		return caps, 0
+// capture appends the reader's unread events to caps as pinned pieces,
+// moves the reader to the tail, and counts the events in the hub's
+// delivered totals before the callback sees them. The capture owns one
+// reference per piece: the reader's own pin on each fully read segment
+// passes to it, and the tail gets an extra one. A capture is therefore a
+// take — it stays readable and is delivered whole even if the watcher is
+// lagged out or its reader dropped before delivery ends.
+func (w *hubWatcher) capture(caps []capture) []capture {
+	r, h := w.rd, w.hub
+	if r == nil {
+		return caps
+	}
+	h.mu.Lock()
+	if len(r.segs) == 0 || w.lagged.Load() {
+		h.mu.Unlock()
+		return caps
 	}
 	total := 0
 	last := len(r.segs) - 1
@@ -187,10 +167,10 @@ func (r *reader) capture(h *Hub, caps []capture) ([]capture, int) {
 			continue
 		}
 		n := len(evs)
-		if g.minVer <= from { // an event at or below the cut may sit in evs
+		if g.minVer <= w.from { // an event at or below the cut may sit in evs
 			n = 0
 			for k := range evs {
-				if evs[k].Version > from {
+				if evs[k].Version > w.from {
 					n++
 				}
 			}
@@ -206,23 +186,11 @@ func (r *reader) capture(h *Hub, caps []capture) ([]capture, int) {
 	clear(r.segs[1:])
 	r.segs = r.segs[:1]
 	r.off = len(tail.evs)
-	r.pos.Store(s.appends)
-	s.delivered += int64(total)
-	s.mu.Unlock()
-	return caps, total
-}
-
-// captureAll captures every live reader of w, in shard order, and counts the
-// events in the hub's delivered total before the callback sees them.
-func (w *hubWatcher) captureAll(caps []capture) []capture {
-	total := 0
-	for _, r := range w.readers {
-		var n int
-		caps, n = r.capture(w.hub, caps)
-		total += n
-	}
+	r.pos.Store(h.appends)
+	h.delivered += int64(total)
+	h.mu.Unlock()
 	if total > 0 {
-		w.hub.met.delivered.Add(int64(total))
+		h.met.delivered.Add(int64(total))
 	}
 	return caps
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"unbundle/internal/flightrec"
 	"unbundle/internal/govern"
@@ -104,22 +105,20 @@ func watcherByID(h *Hub, id int64) *hubWatcher {
 // segRefs returns each chain segment's reference count, oldest first.
 func segRefs(h *Hub) []int32 {
 	var out []int32
-	for _, s := range h.shards {
-		s.mu.Lock()
-		for _, g := range s.segs {
-			out = append(out, g.refs.Load())
-		}
-		s.mu.Unlock()
+	h.mu.Lock()
+	for _, g := range h.segs {
+		out = append(out, g.refs.Load())
 	}
+	h.mu.Unlock()
 	return out
 }
 
 // TestReaderAppendAllocatesNothing pins the reader path's whole point: an
-// AppendBatch into a shard that 64 covering watchers read does no
+// AppendBatch into a hub that 64 full-range watchers read does no
 // per-reader work. Appending and dispatching allocate nothing, and no
 // reader's ring is touched.
 func TestReaderAppendAllocatesNothing(t *testing.T) {
-	h := NewHub(HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: 256, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	var sinks []*countSink
 	for i := 0; i < 64; i++ {
@@ -141,8 +140,8 @@ func TestReaderAppendAllocatesNothing(t *testing.T) {
 	h.regMu.Lock()
 	defer h.regMu.Unlock()
 	for id, w := range h.watchers {
-		if len(w.readers) != 1 {
-			t.Fatalf("watcher %d has %d readers, want 1", id, len(w.readers))
+		if w.rd == nil {
+			t.Fatalf("watcher %d is not a reader", id)
 		}
 		if n := w.q.touches(); n != 0 {
 			t.Fatalf("watcher %d's ring touched %d times", id, n)
@@ -184,7 +183,7 @@ func TestIdleObserversAllocateNothing(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/batch=%v", oname, pname, batch), func(t *testing.T) {
 					for iname, in := range ingests {
 						t.Run(iname, func(t *testing.T) {
-							cfg := HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()}
+							cfg := HubConfig{Retention: 256, Metrics: metrics.NewRegistry()}
 							defer attach(&cfg)()
 							h := NewHub(cfg)
 							defer h.Close()
@@ -219,7 +218,7 @@ func TestIdleObserversAllocateNothing(t *testing.T) {
 // plus, at most, the one the wedged delivery holds.
 func TestReaderWedgedLagsOutAndUnpins(t *testing.T) {
 	const buffer = 16
-	h := NewHub(HubConfig{Shards: 1, Retention: 64, WatcherBuffer: buffer, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: 64, WatcherBuffer: buffer, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	gate := newWedge()
 	var resynced atomic.Int64
@@ -272,7 +271,7 @@ func TestReaderWedgedLagsOutAndUnpins(t *testing.T) {
 // a reader 500 events behind receives every one of them, in order, with no
 // resync — the chain evicted them, the reader's pins kept them.
 func TestReaderOutlivesRetention(t *testing.T) {
-	h := NewHub(HubConfig{Shards: 1, Retention: 64, WatcherBuffer: 1024, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: 64, WatcherBuffer: 1024, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	gate := newWedge()
 	var c collector
@@ -318,7 +317,7 @@ func TestReaderOutlivesRetention(t *testing.T) {
 }
 
 // TestShedRanksReadersByWhatTheyPin: the governor's shed rung ranks a reader
-// by its unread events at the shard's mean retained footprint, so a
+// by its unread events at the window's mean retained footprint, so a
 // stalled covering reader is shed before a ring watcher holding a smaller
 // backlog — even though the reader's ring holds nothing.
 func TestShedRanksReadersByWhatTheyPin(t *testing.T) {
@@ -326,7 +325,7 @@ func TestShedRanksReadersByWhatTheyPin(t *testing.T) {
 	rec := flightrec.New(flightrec.Config{Metrics: reg})
 	gov := govern.NewGovernor(govern.Config{Budget: 1 << 24, Metrics: reg})
 	defer gov.Close()
-	h := NewHub(HubConfig{Shards: 1, WatcherBuffer: 1 << 12, Metrics: reg, Recorder: rec, Governor: gov})
+	h := NewHub(HubConfig{WatcherBuffer: 1 << 12, Metrics: reg, Recorder: rec, Governor: gov})
 	defer h.Close()
 	reader, ring := newWedge(), newWedge()
 	defer close(reader.release)
@@ -373,5 +372,39 @@ func TestShedRanksReadersByWhatTheyPin(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// TestCancelStopsRingBeforeDetaching pins cancel's order: it stops the
+// watcher's ring before it takes the hub lock to drop the watcher's reader.
+// A dispatcher that found its reader gone while its ring was still open
+// would capture nothing and could announce a frontier over events it never
+// delivered. With the hub lock held, as a slow ingest call holds it, cancel
+// must still reach a stopped ring, and the reader must still be in place.
+func TestCancelStopsRingBeforeDetaching(t *testing.T) {
+	h := NewHub(HubConfig{Metrics: metrics.NewRegistry()})
+	defer h.Close()
+	cancel, err := h.Watch(keyspace.Full(), NoVersion, Funcs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := watcherByID(h, 0)
+	h.mu.Lock()
+	done := make(chan struct{})
+	go func() { cancel(); close(done) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !w.q.isCancelled() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stopped, attached := w.q.isCancelled(), len(w.rd.segs) > 0
+	h.mu.Unlock()
+	<-done
+	if !stopped || !attached {
+		t.Fatalf("under the hub lock, cancel left ring stopped=%v, reader attached=%v; want a stopped ring and the reader still attached", stopped, attached)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(w.rd.segs) != 0 || len(h.readers) != 0 {
+		t.Fatalf("cancel left the reader attached")
 	}
 }

@@ -8,37 +8,35 @@ import (
 	"unbundle/internal/trace"
 )
 
-// segView is one pinned slice of a shard's retention chain, snapshotted at
+// segView is one pinned slice of the hub's retention chain, snapshotted at
 // watch registration: the events evs[lo:hi] of a segment whose refcount the
-// view holds, to be filtered by the watcher's clip and streamed by the
-// dispatch goroutine with no shard lock held.
+// view holds, to be filtered by the watcher's range and streamed by the
+// dispatch goroutine with no lock held.
 type segView struct {
 	seg *segment
-	// evs is the segment's event slice as captured under the shard lock.
+	// evs is the segment's event slice as captured under the hub lock.
 	// The tail's evs *field* keeps moving with appends, so the view must
 	// hold its own header: the slots below hi are written exactly once and
 	// never again, making this snapshot safe to read lock-free.
 	evs    []ChangeEvent
-	sh     *hubShard // delivered-counter attribution
 	lo, hi int
-	clip   keyspace.Range // watcher range ∩ shard range
 }
 
-// snapshotReplayLocked pins the shard's chain for a watcher registering with
-// cut version from over clip, appending one view per segment that may hold a
-// matching event. The caller holds s.mu; the work here is O(segments) — a
+// snapshotReplayLocked pins the chain for a watcher registering with cut
+// version from over r, appending one view per segment that may hold a
+// matching event. The caller holds h.mu; the work here is O(segments) — a
 // handful of pointer pins and index probes — regardless of how many events
 // the replay will stream. Segments are skipped outright when their version
 // bound proves nothing exceeds the cut or their key summary proves no
-// overlap with the clip; a version-sorted segment additionally binary-
+// overlap with r; a version-sorted segment additionally binary-
 // searches the cut so the view starts at the first qualifying event.
-func (s *hubShard) snapshotReplayLocked(views []segView, clip keyspace.Range, from Version) []segView {
-	for _, g := range s.segs {
+func (h *Hub) snapshotReplayLocked(views []segView, r keyspace.Range, from Version) []segView {
+	for _, g := range h.segs {
 		lo, hi := g.trim, len(g.evs)
 		if lo >= hi || g.maxVer <= from {
 			continue
 		}
-		if !g.overlaps(clip) {
+		if !g.overlaps(r) {
 			continue
 		}
 		if g.sorted && from >= g.minVer {
@@ -49,13 +47,13 @@ func (s *hubShard) snapshotReplayLocked(views []segView, clip keyspace.Range, fr
 			}
 		}
 		g.acquire()
-		views = append(views, segView{seg: g, evs: g.evs[:hi], sh: s, lo: lo, hi: hi, clip: clip})
+		views = append(views, segView{seg: g, evs: g.evs[:hi], lo: lo, hi: hi})
 	}
 	return views
 }
 
 // runReplay streams the watcher's pinned retained-history snapshot to its
-// callback before the live loop starts, outside every shard lock.
+// callback before the live loop starts, outside the hub lock.
 // Delivery is zero-copy: a batch-capable callback receives contiguous
 // sub-slices of the pinned segment arrays directly. The stream is bounded by
 // the watcher's buffer size — exactly WatcherBuffer replayed events succeed;
@@ -78,31 +76,29 @@ func (w *hubWatcher) runReplay() {
 		}
 		n, over := w.streamView(v, budget-streamed)
 		streamed += n
-		if n > 0 {
-			v.sh.mu.Lock()
-			v.sh.delivered += int64(n)
-			v.sh.mu.Unlock()
-		}
 		overflowed = over
 	}
 	for _, v := range views {
 		v.seg.release(&h.segPool)
 	}
 	if streamed > 0 {
+		h.mu.Lock()
+		h.delivered += int64(streamed)
+		h.mu.Unlock()
 		h.met.delivered.Add(int64(streamed))
 		h.met.replayEvents.Add(int64(streamed))
 	}
 	h.met.replayLatency.ObserveDuration(time.Since(start))
 	if overflowed {
 		h.met.replayOverflow.Inc()
-		var fx ingestFx
-		h.lagOutLocked(w, nil, "retained-window replay exceeds watcher buffer", 0, &fx)
-		h.finishLagged(&fx)
+		h.mu.Lock()
+		h.lagOutLocked(w, "retained-window replay exceeds watcher buffer", 0)
+		h.mu.Unlock()
 	}
 }
 
-// streamView streams one view's matching events — Version > from, key in the
-// clip — in contiguous runs, bounded by budget. It returns how many events
+// streamView streams one view's matching events — Version > from, key in
+// the watch's range — in contiguous runs, bounded by budget. It returns how many events
 // were delivered and whether a matching event remained past the budget
 // (replay overflow). The run slices alias the pinned segment array; the
 // callback contract (no retention after return) is what makes that safe.
@@ -120,14 +116,14 @@ func (w *hubWatcher) streamView(v segView, budget int) (delivered int, overflowe
 		if w.lagged.Load() || w.q.isCancelled() {
 			return delivered, false
 		}
-		for i < v.hi && !(evs[i].Version > w.from && v.clip.Contains(evs[i].Key)) {
+		for i < v.hi && !(evs[i].Version > w.from && w.rng.Contains(evs[i].Key)) {
 			i++
 		}
 		if i >= v.hi {
 			break
 		}
 		j := i + 1
-		for j < v.hi && evs[j].Version > w.from && v.clip.Contains(evs[j].Key) {
+		for j < v.hi && evs[j].Version > w.from && w.rng.Contains(evs[j].Key) {
 			j++
 		}
 		run := evs[i:j]

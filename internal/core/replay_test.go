@@ -17,7 +17,7 @@ import (
 func TestHubReplayExactlyWatcherBufferSucceeds(t *testing.T) {
 	const buffer = 16
 	reg := metrics.NewRegistry()
-	h := NewHub(HubConfig{Retention: 64, WatcherBuffer: buffer, Shards: 1, Metrics: reg})
+	h := NewHub(HubConfig{Retention: 64, WatcherBuffer: buffer, Metrics: reg})
 	defer h.Close()
 	for i := 1; i <= buffer; i++ {
 		h.Append(put("k", Version(i)))
@@ -87,7 +87,7 @@ func TestHubReplayExactlyWatcherBufferSucceeds(t *testing.T) {
 // replays; the watcher rides the live stream).
 func TestHubResumeAtSegmentSealBoundary(t *testing.T) {
 	const retention = 512
-	h := NewHub(HubConfig{Retention: retention, WatcherBuffer: 1024, Shards: 1, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: retention, WatcherBuffer: 1024, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	segSize := h.segPool.size
 	if segSize != 64 {
@@ -97,7 +97,7 @@ func TestHubResumeAtSegmentSealBoundary(t *testing.T) {
 	for i := 1; i <= total; i++ {
 		h.Append(put("k", Version(i)))
 	}
-	s := h.shards[0]
+	s := h
 	s.mu.Lock()
 	if len(s.segs) != 4 {
 		s.mu.Unlock()
@@ -160,7 +160,7 @@ func TestHubResumeAtSegmentSealBoundary(t *testing.T) {
 // cannot intersect the watcher's range is skipped whole, and the filter is
 // conservative — everything the watcher should see still arrives.
 func TestHubReplaySegmentKeySummarySkip(t *testing.T) {
-	h := NewHub(HubConfig{Retention: 512, WatcherBuffer: 1024, Shards: 1, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: 512, WatcherBuffer: 1024, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	segSize := h.segPool.size
 	v := Version(0)
@@ -174,7 +174,7 @@ func TestHubReplaySegmentKeySummarySkip(t *testing.T) {
 	fill("b")               // segment 2: keys b000..b063
 	h.Append(put("c", v+1)) // seals segment 2
 
-	s := h.shards[0]
+	s := h
 	s.mu.Lock()
 	aSeg, bSeg := s.segs[0], s.segs[1]
 	bRange := keyspace.Range{Low: "b", High: "c"}
@@ -213,7 +213,7 @@ func TestHubReplaySegmentKeySummarySkip(t *testing.T) {
 // batch-capable callback as whole OnEventBatch calls, never via OnEvent —
 // the zero-copy hand-off the remote transport rides.
 func TestHubReplayBatchDispatch(t *testing.T) {
-	h := NewHub(HubConfig{Retention: 512, WatcherBuffer: 1024, Shards: 1, Metrics: metrics.NewRegistry()})
+	h := NewHub(HubConfig{Retention: 512, WatcherBuffer: 1024, Metrics: metrics.NewRegistry()})
 	defer h.Close()
 	const n = 100
 	for i := 1; i <= n; i++ {
@@ -251,7 +251,7 @@ func TestHubReplayBatchDispatch(t *testing.T) {
 func TestHubReplayTraceStage(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tracer := trace.New(trace.Config{SampleEvery: 1, Metrics: reg})
-	h := NewHub(HubConfig{Tracer: tracer, Metrics: reg, Shards: 1})
+	h := NewHub(HubConfig{Tracer: tracer, Metrics: reg})
 	defer h.Close()
 	const n = 20
 	for i := 1; i <= n; i++ {

@@ -117,7 +117,7 @@ func (r *ring) enqueueRun(run []ChangeEvent, from Version, moved bool) (int, boo
 // costs one atomic load, and only the call that sets it takes the lock.
 func (r *ring) wake() { r.raise(1) }
 
-// nudge is wake for a reader whose shard log grew: the dispatcher has
+// nudge is wake for a reader whose log grew: the dispatcher has
 // something to capture, but nothing reached the ring, so it is not a touch.
 func (r *ring) nudge() { r.raise(0) }
 

@@ -7,10 +7,10 @@ import (
 	"unbundle/internal/keyspace"
 )
 
-// A hub shard's retention window is a chain of segments in arrival order:
+// A hub's retention window is a chain of segments in arrival order:
 // every segment but the last is sealed — immutable, shared zero-copy with
 // replaying watchers — and the last is the active tail, append-only within a
-// preallocated array. Slots are written exactly once, under the shard lock,
+// preallocated array. Slots are written exactly once, under the hub lock,
 // and never rewritten afterwards; a snapshot of a segment's event slice
 // taken under the lock can therefore be streamed lock-free, concurrently
 // with appends, trims and seals.
@@ -19,7 +19,7 @@ type segment struct {
 	evs []ChangeEvent
 	// trim is the logical start: evs[trim:] are retained, evs[:trim]
 	// evicted. Only the chain's oldest segment advances it, one event per
-	// eviction, under the shard lock. A pinned replay view may still be
+	// eviction, under the hub lock. A pinned replay view may still be
 	// streaming trimmed slots — trimming is a bookkeeping move, not a
 	// rewrite, so those reads stay valid.
 	trim int
@@ -30,7 +30,7 @@ type segment struct {
 	// Version index, maintained incrementally on append. minVer/maxVer
 	// bound every event in the segment; sorted records that versions arrived
 	// in non-decreasing order, which lets a replay cut binary-search its
-	// lower bound instead of scanning. (Per-shard arrival order is NOT
+	// lower bound instead of scanning. (The hub's arrival order is NOT
 	// globally version-sorted when concurrent producers interleave, so
 	// sorted is a property observed per segment, never assumed.)
 	minVer, maxVer Version
@@ -45,7 +45,7 @@ type segment struct {
 	// reported by the core_hub_sealed_segment_bytes gauge.
 	bytes int64
 
-	// refs counts owners: the shard chain holds one, and every pinned
+	// refs counts owners: the hub's chain holds one, and every pinned
 	// replay view holds one. The array returns to the pool only at zero, so
 	// recycling can never race an in-flight replay.
 	refs atomic.Int32
@@ -64,7 +64,7 @@ func evFootprint(ev *ChangeEvent) int64 {
 }
 
 // push appends one event, updating the incremental version index. Caller
-// holds the shard lock and has checked capacity.
+// holds the hub lock and has checked capacity.
 func (g *segment) push(ev ChangeEvent) {
 	if len(g.evs) == 0 {
 		g.minVer, g.maxVer = ev.Version, ev.Version
@@ -166,7 +166,7 @@ func (p *segPool) put(g *segment) {
 }
 
 // segSizeFor picks the per-segment event capacity for a retention bound:
-// about eight segments per shard window, clamped so tiny retentions still
+// about eight segments per window, clamped so tiny retentions still
 // seal (exercising the whole lifecycle) and huge ones keep seal passes
 // short.
 func segSizeFor(retention int) int {

@@ -7,6 +7,7 @@ package coretest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,8 +42,11 @@ type Env struct {
 type Factory func(hubCfg core.HubConfig) Env
 
 // Run exercises the Watchable contract against the factory. Every row runs
-// twice, as subtests shards=1 and shards=4 of the hub's internal sharding,
-// whatever the host's GOMAXPROCS.
+// twice: as subtest shards=1 at GOMAXPROCS 1, the benchmark's setting, where
+// a dispatcher runs only when ingest yields, and as shards=4 at GOMAXPROCS 4,
+// where dispatchers race ingest in parallel. The subtest names date from
+// when a hub split its keyspace into one shard per GOMAXPROCS; they are
+// kept so results compare across revisions.
 func Run(t *testing.T, name string, factory Factory) {
 	t.Helper()
 	rows := []struct {
@@ -61,12 +65,10 @@ func Run(t *testing.T, name string, factory Factory) {
 	}
 	for _, row := range rows {
 		t.Run(name+"/"+row.name, func(t *testing.T) {
-			for _, shards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					row.run(t, func(cfg core.HubConfig) Env {
-						cfg.Shards = shards
-						return factory(cfg)
-					})
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					row.run(t, factory)
 				})
 			}
 		})

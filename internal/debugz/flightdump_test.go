@@ -121,7 +121,18 @@ func TestChaosPartitionProducesRetrievableDump(t *testing.T) {
 	// deadlines expire on both sides; the client redials and resumes.
 	ctrl.BlackholeLive()
 	produce(51, 100) // lands while partitioned; resume must recover it
-	waitFor(t, "client reconnect", func() bool { return ctrl.Dials() >= 2 })
+	// Wait for the resume to be recorded, not just for the redial: the
+	// dump must hold the whole outage, and events 51–100 can still reach the
+	// client over the old connection when a read already in flight as the
+	// blackhole fell returns them, so their delivery proves no resume.
+	waitFor(t, "client reconnect recorded", func() bool {
+		for _, r := range rec.Tail(0) {
+			if r.Kind == flightrec.KindRemoteReconnect && r.Comp == "remote.client" {
+				return true
+			}
+		}
+		return false
+	})
 	waitFor(t, "all 100 events", func() bool { return delivered.Load() == 100 })
 	waitFor(t, "heartbeat miss counted", func() bool {
 		return reg.Counter("remote_client_heartbeat_misses_total").Value()+

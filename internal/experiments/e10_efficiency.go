@@ -84,9 +84,7 @@ func runE10(opts Options) (*Result, error) {
 		// Size watcher queues past every event so this throughput
 		// measurement never triggers lag-out resyncs (those are E2's subject,
 		// not E10's).
-		// Shards pinned to 1: the bounded-soft-state check below reasons about
-		// one global retention window (Retention is per shard).
-		hub := core.NewHub(core.HubConfig{Retention: 4096, WatcherBuffer: 4 * updates, Shards: 1})
+		hub := core.NewHub(core.HubConfig{Retention: 4096, WatcherBuffer: 4 * updates})
 		defer hub.Close()
 		detach := store2.AttachCDC(keyspace.Full(), hub)
 		defer detach()

@@ -155,7 +155,7 @@ func TestWatchableStoreEndToEnd(t *testing.T) {
 // the value copy and the version record — and nothing per commit.
 func TestCommitAllocatesWhatItStores(t *testing.T) {
 	const nKeys, perTxn, watchers = 1024, 8, 8
-	ws := NewWatchableStore(core.HubConfig{Shards: 1, Retention: 256, Metrics: metrics.NewRegistry()})
+	ws := NewWatchableStore(core.HubConfig{Retention: 256, Metrics: metrics.NewRegistry()})
 	defer ws.Close()
 	keys := make([]keyspace.Key, nKeys)
 	for i := range keys {

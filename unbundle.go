@@ -64,7 +64,7 @@ func PrefixRange(p Key) Range { return keyspace.Prefix(p) }
 func PointRange(k Key) Range { return keyspace.Point(k) }
 
 // NumericKey formats n as a fixed-width ordered key — the numeric-domain
-// convention shard boundaries (Hub shards, Sharder) are aligned to.
+// convention the Sharder's shard boundaries are aligned to.
 func NumericKey(n int) Key { return keyspace.NumericKey(n) }
 
 // NumericRange returns the range [NumericKey(lo), NumericKey(hi)).
