@@ -1,8 +1,8 @@
 // Command unbundle-bench regenerates the paper-reproduction experiment
-// tables (E1–E11 in DESIGN.md): for every figure and §3/§4 claim of
-// "Understanding the limitations of pubsub systems" it runs the pubsub
-// baseline and the watch counterpart and prints the measured comparison,
-// followed by PASS/FAIL shape checks.
+// tables: for every figure and §3/§4 claim of "Understanding the
+// limitations of pubsub systems" it runs the pubsub baseline and the watch
+// counterpart, prints the measured comparison and its PASS/FAIL shape
+// checks, and ends with the claims table EXPERIMENTS.md carries.
 //
 // Usage:
 //
@@ -80,9 +80,10 @@ func main() {
 
 	failed := 0
 	var results []jsonResult
+	var claims []*experiments.Result
 	for _, e := range toRun {
 		if *jsonOut {
-			experiments.Logf("running %s — %s", e.ID, e.Title)
+			fmt.Fprintf(os.Stderr, "running %s — %s\n", e.ID, e.Title)
 		} else {
 			fmt.Printf("### %s — %s (%s)\n", e.ID, e.Title, e.Anchor)
 		}
@@ -102,6 +103,7 @@ func main() {
 			})
 		} else {
 			res.Render(os.Stdout)
+			claims = append(claims, res)
 		}
 		failed += len(res.Failed())
 	}
@@ -121,9 +123,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unbundle-bench: encode: %v\n", err)
 			os.Exit(1)
 		}
-	} else if *dumpMet {
-		fmt.Println("### metrics")
-		metrics.Default().WriteTo(os.Stdout)
+	} else {
+		if *dumpMet {
+			fmt.Println("### metrics")
+			metrics.Default().WriteTo(os.Stdout)
+		}
+		fmt.Println("### claims")
+		experiments.WriteClaims(os.Stdout, claims)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d check(s) failed\n", failed)

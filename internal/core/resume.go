@@ -15,7 +15,7 @@ import "sync/atomic"
 // server half cheap even when many points resume at once: re-registering a
 // watch pins sealed retention segments by reference and replays them off
 // the ingest locks, so a reconnect storm costs O(segments) lock work per
-// watch, not O(backlog) (see BenchmarkHubResumeStorm*).
+// watch, not O(backlog) (`go run ./bench`'s catchup_tcp measures the storm).
 //
 // All methods are safe for concurrent use; advancement is monotonic (a
 // stale note never moves the point backward). Reset is the one exception —

@@ -139,18 +139,21 @@ func runE11(opts Options) (*Result, error) {
 				q.drive(k, v)
 			}
 			want := q.version()
-			converged := settle(func() bool {
+			err = settle(q.name+" to deliver every event and reach the source version", func() bool {
 				mu.Lock()
 				defer mu.Unlock()
 				return events >= updates && frontier >= want
 			})
 			cancel()
 			q.cleanup()
+			if err != nil {
+				return err
+			}
 			mu.Lock()
 			results[qi] = obs{perKey: perKey, events: events}
 			gotFrontier := frontier
 			mu.Unlock()
-			if !converged || gotFrontier < want {
+			if gotFrontier < want {
 				frontierOK = false
 			}
 			if qi == 0 {

@@ -108,19 +108,19 @@ func runE12(opts Options) (*Result, error) {
 				if appendBatch == 1 {
 					// Trickle: fully drained between events, so every event
 					// crosses the wire in its own frame.
-					if !settle(func() bool { return minDelivered() >= int64(produced) }) {
-						return st, fmt.Errorf("trickle delivery stalled at %d/%d", minDelivered(), produced)
+					if err := settle("trickle delivery", func() bool { return minDelivered() >= int64(produced) }); err != nil {
+						return st, err
 					}
 				} else if produced%512 == 0 {
 					// Firehose: paced window below the connection outbox bound.
 					target := int64(produced - 4096)
-					if !settle(func() bool { return minDelivered() >= target }) {
-						return st, fmt.Errorf("firehose delivery stalled at %d/%d", minDelivered(), produced)
+					if err := settle("firehose delivery", func() bool { return minDelivered() >= target }); err != nil {
+						return st, err
 					}
 				}
 			}
-			if !settle(func() bool { return minDelivered() >= int64(n) }) {
-				return st, fmt.Errorf("final drain stalled at %d/%d", minDelivered(), n)
+			if err := settle("the final drain", func() bool { return minDelivered() >= int64(n) }); err != nil {
+				return st, err
 			}
 			st.took = time.Since(start)
 

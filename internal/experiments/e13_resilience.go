@@ -142,8 +142,8 @@ func runE13(opts Options) (*Result, error) {
 				v++
 				ws.Put(keyspace.NumericKey(v%keys), []byte(fmt.Sprintf("r%d-%d", round, v)))
 			}
-			if !settle(converged) {
-				return fmt.Errorf("round %d: consumers failed to converge (hung or stale watcher)", round)
+			if err := settle(fmt.Sprintf("every consumer to converge in round %d", round), converged); err != nil {
+				return err
 			}
 			if round < rounds {
 				dials := ctrl.Dials()
@@ -153,8 +153,8 @@ func runE13(opts Options) (*Result, error) {
 					ctrl.BlackholeLive() // silent: only heartbeats can tell
 				}
 				partitions++
-				if !settle(func() bool { return ctrl.Dials() >= dials+consumers }) {
-					return fmt.Errorf("partition %d: not every client reconnected", partitions)
+				if err := settle(fmt.Sprintf("every client to reconnect after partition %d", partitions), func() bool { return ctrl.Dials() >= dials+consumers }); err != nil {
+					return err
 				}
 			}
 		}

@@ -128,8 +128,8 @@ func runE15(opts Options) (*Result, error) {
 		// Phase 1 — healthy traffic settles the detector baselines, just as
 		// a production deployment idles through warmup ticks.
 		produce(perPhase)
-		if !settle(allDelivered) {
-			return fmt.Errorf("healthy phase: consumers failed to converge")
+		if err := settle("every consumer to converge in the healthy phase", allDelivered); err != nil {
+			return err
 		}
 		for i := 0; i < 5; i++ {
 			mon.Tick()
@@ -141,11 +141,11 @@ func runE15(opts Options) (*Result, error) {
 		dials := ctrl.Dials()
 		ctrl.BlackholeLive()
 		produce(perPhase)
-		if !settle(func() bool { return ctrl.Dials() >= dials+consumers }) {
-			return fmt.Errorf("partition: not every client reconnected")
+		if err := settle("every client to reconnect after the partition", func() bool { return ctrl.Dials() >= dials+consumers }); err != nil {
+			return err
 		}
-		if !settle(allDelivered) {
-			return fmt.Errorf("recovery: consumers failed to converge")
+		if err := settle("every consumer to converge after recovery", allDelivered); err != nil {
+			return err
 		}
 
 		// Phase 3 — the next detector tick sees the heartbeat-miss burst and

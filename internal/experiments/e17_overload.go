@@ -153,8 +153,8 @@ func runE17(opts Options) (*Result, error) {
 			}
 			return true
 		}
-		if !settle(converged) {
-			return fmt.Errorf("consumers failed to converge after the storm subsided")
+		if err := settle("every consumer to converge after the storm", converged); err != nil {
+			return err
 		}
 
 		// The governor keeps its own high-water: a poll of the level misses

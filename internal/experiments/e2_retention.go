@@ -146,7 +146,7 @@ func runE2(opts Options) (*Result, error) {
 		close(gate) // maintenance over: consumer unblocks, resync recovers it
 		put(postStall)
 
-		converged := settle(func() bool {
+		if err := settle("the watch state to converge", func() bool {
 			wMu.Lock()
 			defer wMu.Unlock()
 			for k, v := range truth2 {
@@ -155,7 +155,9 @@ func runE2(opts Options) (*Result, error) {
 				}
 			}
 			return true
-		})
+		}); err != nil {
+			return err
+		}
 		wMu.Lock()
 		wDivergent := 0
 		for k, v := range truth2 {
@@ -180,7 +182,7 @@ func runE2(opts Options) (*Result, error) {
 			"skipped %d with %d visible errors", gs.SkippedMessages, psErrors)
 		res.check("pubsub state diverged", psDivergent > 0, "%d of %d keys stale", psDivergent, len(truth))
 		res.check("watch consumer was explicitly resynced", rw.Resyncs() >= 1, "%d resyncs", rw.Resyncs())
-		res.check("watch state converged exactly", converged && wDivergent == 0, "%d divergent keys", wDivergent)
+		res.check("watch state converged exactly", wDivergent == 0, "%d divergent keys", wDivergent)
 		return nil
 	})
 }

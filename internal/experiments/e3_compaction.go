@@ -126,7 +126,9 @@ func runE3(opts Options) (*Result, error) {
 			return err
 		}
 		defer cancel()
-		settle(func() bool { mu.Lock(); defer mu.Unlock(); return wResyncs > 0 })
+		if err := settle("the watcher's resync", func() bool { mu.Lock(); defer mu.Unlock(); return wResyncs > 0 }); err != nil {
+			return err
+		}
 
 		// Both final states carry last values; score them.
 		psCorrectLatest := 0

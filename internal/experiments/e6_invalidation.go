@@ -75,9 +75,15 @@ func runE6(opts Options) (*Result, error) {
 			rng := rand.New(rand.NewSource(opts.Seed))
 			stream := workload.NewUpdateStream(workload.NewZipfKeys(opts.Seed, nKeys, 1.2))
 
-			// Router bootstrap.
+			// Router bootstrap. Fanout mode never subscribes a router view
+			// (its generation stays 0), so it skips both router waits.
+			routed := mode != cache.ModeFanout
 			clock.Advance(time.Second)
-			settle(func() bool { return c.RouterGeneration() >= 1 })
+			if routed {
+				if err := settle("the router's bootstrap", func() bool { return c.RouterGeneration() >= 1 }); err != nil {
+					return err
+				}
+			}
 
 			// Figure 2 by construction, on the key just past the workload's
 			// keyspace, which the workload below never writes, reads or
@@ -146,7 +152,13 @@ func runE6(opts Options) (*Result, error) {
 			}
 			// Settle: let the router catch up and deliver everything.
 			clock.Advance(5 * time.Second)
-			settle(func() bool { return c.RouterGeneration() >= c.Sharder().Stats().Generation })
+			if routed {
+				if err := settle("the router to catch up with the sharder", func() bool {
+					return c.RouterGeneration() >= c.Sharder().Stats().Generation
+				}); err != nil {
+					return err
+				}
+			}
 			for i := 0; i < 10; i++ {
 				clock.Advance(time.Second)
 				c.Pump()
@@ -158,9 +170,10 @@ func runE6(opts Options) (*Result, error) {
 			// once. Any staleness now is permanent — no pending invalidation
 			// can fix it.
 			staleAfter := 0
+			graceEnd := time.Now().Add(quiescenceGrace)
 			for key := 0; key < swept; key++ {
 				rk := keyspace.NumericKey(key)
-				stale, err := staleAfterQuiescence(rk, func() ([]byte, error) {
+				stale, err := staleAfterQuiescence(rk, graceEnd, func() ([]byte, error) {
 					r, err := c.Read(rk)
 					return r.Value, err
 				}, c.Store())
@@ -204,15 +217,16 @@ func runE6(opts Options) (*Result, error) {
 		oracle := cache.NewOracle(wc.Store())
 		rng := rand.New(rand.NewSource(opts.Seed))
 		stream := workload.NewUpdateStream(workload.NewZipfKeys(opts.Seed, nKeys, 1.2))
-		// Wait for initial coverage.
-		settle(func() bool {
+		if err := settle("every pod's initial coverage", func() bool {
 			for _, p := range wc.Pods() {
 				if len(p.Knowledge()) == 0 {
 					return false
 				}
 			}
 			return true
-		})
+		}); err != nil {
+			return err
+		}
 		var wReads, wStale int64
 		var recent []keyspace.Key
 		for i := 0; i < steps; i++ {
@@ -248,21 +262,23 @@ func runE6(opts Options) (*Result, error) {
 				time.Sleep(50 * time.Microsecond) // let the CDC→hub→pod pipeline run
 			}
 		}
-		// Settle: watchers converge to the store.
 		storeV := wc.Store().CurrentVersion()
-		settle(func() bool {
+		if err := settle("the watchers to converge to the store", func() bool {
 			stale, _ := oracle.SweepWatch(wc)
 			return stale == 0 && wc.Store().CurrentVersion() == storeV
-		})
+		}); err != nil {
+			return err
+		}
 		wPermStale, wChecked := oracle.SweepWatch(wc)
 		var wResyncs int64
 		for _, p := range wc.Pods() {
 			wResyncs += p.Resyncs()
 		}
 		wStaleAfter := 0
+		graceEnd := time.Now().Add(quiescenceGrace)
 		for key := 0; key < swept; key++ {
 			rk := keyspace.NumericKey(key)
-			stale, err := staleAfterQuiescence(rk, func() ([]byte, error) {
+			stale, err := staleAfterQuiescence(rk, graceEnd, func() ([]byte, error) {
 				r, err := wc.Read(rk)
 				return r.Value, err
 			}, wc.Store())
@@ -318,11 +334,15 @@ func runE6(opts Options) (*Result, error) {
 	})
 }
 
-// staleAfterQuiescence re-reads a key, allowing a short grace for in-flight
-// deliveries to land; only staleness that survives the grace counts.
-// Permanent staleness — the Figure 2 end state — survives any grace.
-func staleAfterQuiescence(k keyspace.Key, read func() ([]byte, error), store *mvcc.Store) (bool, error) {
-	deadline := time.Now().Add(250 * time.Millisecond)
+// quiescenceGrace is how long a sweep lets in-flight deliveries land.
+const quiescenceGrace = 250 * time.Millisecond
+
+// staleAfterQuiescence re-reads a key until it matches the store or the
+// sweep's grace, which started with the sweep, ends; only staleness that
+// survives the grace counts. A key read after the grace has already had it,
+// so a sweep waits once, not once per stale key. Permanent staleness — the
+// Figure 2 end state — survives any grace.
+func staleAfterQuiescence(k keyspace.Key, deadline time.Time, read func() ([]byte, error), store *mvcc.Store) (bool, error) {
 	for {
 		v, err := read()
 		if err != nil {

@@ -178,13 +178,15 @@ func runE7(opts Options) (*Result, error) {
 			mu.Unlock()
 			st.Append(keys2.Pick(), []byte(strconv.FormatInt(int64(i), 10)))
 		}
-		settle(func() bool {
+		if err := settle("fast delivery and the slow watcher's resync", func() bool {
 			mu.Lock()
 			defer mu.Unlock()
 			// The slow watcher's dispatcher may be mid-batch (each event
 			// sleeps); wait for its resync too, not just fast delivery.
 			return fastDelivered >= events*3/4-nSeries && slowResyncs >= 1
-		})
+		}); err != nil {
+			return err
+		}
 		mu.Lock()
 		wSnap := wLat.Snapshot()
 		fd, sr, rec := fastDelivered, slowResyncs, slowRecovered

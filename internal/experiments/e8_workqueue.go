@@ -172,10 +172,12 @@ func runE8(opts Options) (*Result, error) {
 			return err
 		}
 		defer wc.Close()
-		settle(func() bool {
+		if err := settle("the watch coordinator to reconcile every workload", func() bool {
 			wc.Step(nWorkloads)
 			return fleet.Divergence() == 0
-		})
+		}); err != nil {
+			return err
+		}
 		watchDivergence := fleet.Divergence()
 
 		tbl := metrics.NewTable("E8 — work queueing and the reconciler",

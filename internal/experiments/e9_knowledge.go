@@ -114,7 +114,7 @@ func runE9(opts Options) (*Result, error) {
 			keyspace.NumericRange(10, 20),
 			keyspace.NumericRange(nKeys/2+10, nKeys/2+20),
 		}
-		mergedOK := settle(func() bool {
+		merged := func() bool {
 			ka := core.NewKnowledgeSet()
 			for _, reg := range podA.Knowledge() {
 				ka.AddSnapshot(reg.Range, reg.Low)
@@ -127,7 +127,11 @@ func runE9(opts Options) (*Result, error) {
 			}
 			_, ok := ka.Union(kb).StitchVersion(crossQuery...)
 			return ok
-		})
+		}
+		if err := settle("merged knowledge to serve the cross-half query", merged); err != nil {
+			return err
+		}
+		mergedOK := merged()
 		_, aAlone := coreStitch(podA, crossQuery)
 		_, bAlone := coreStitch(podB, crossQuery)
 

@@ -1,9 +1,11 @@
 // Package experiments contains one driver per reproduced figure/claim of the
-// paper (the E1–E11 index in DESIGN.md). Each driver builds the systems it
-// needs, runs the scenario, renders a paper-style result table, and returns
-// machine-checkable assertions about the *shape* of the result (who wins,
-// what is zero, what grows) — those assertions are what the integration
-// tests and the claim-verification in EXPERIMENTS.md rest on.
+// paper; the registry is the one place the claims are stated, and
+// WriteClaims prints them as the table in EXPERIMENTS.md. Each driver builds
+// the systems it needs, runs the scenario, renders a paper-style result
+// table, and returns machine-checkable assertions about the *shape* of the
+// result (who wins, what is zero, what grows) — those assertions are what
+// the integration tests and the claim-verification rest on. Drivers never
+// write to stdout, which `unbundle-bench -json` keeps for one JSON document.
 package experiments
 
 import (
@@ -127,15 +129,28 @@ func (r *Result) check(name string, pass bool, format string, args ...any) {
 	r.Checks = append(r.Checks, Check{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
 }
 
-// settle polls cond until it holds or ~5s pass; used to wait out async
-// delivery pipelines before final sweeps.
-func settle(cond func() bool) bool {
-	deadline := time.Now().Add(5 * time.Second)
+// WriteClaims writes the claims table: one markdown row per result, with
+// the registered title as the claim and the passed/total checks.
+func WriteClaims(w io.Writer, results []*Result) {
+	fmt.Fprintln(w, "| ID | Paper anchor | Claim | Checks |\n|---|---|---|---|")
+	for _, r := range results {
+		fmt.Fprintf(w, "| %s | %s | %s | %d/%d |\n", r.ID, r.Anchor, r.Title,
+			len(r.Checks)-len(r.Failed()), len(r.Checks))
+	}
+}
+
+// settleTimeout bounds every settle wait.
+var settleTimeout = 5 * time.Second
+
+// settle polls cond until it holds; past settleTimeout it returns an error
+// naming what it waited for, so a wait that cannot succeed fails the run.
+func settle(what string, cond func() bool) error {
+	deadline := time.Now().Add(settleTimeout)
 	for time.Now().Before(deadline) {
 		if cond() {
-			return true
+			return nil
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return false
+	return fmt.Errorf("timed out after %v waiting for %s", settleTimeout, what)
 }

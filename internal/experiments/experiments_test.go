@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"io"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAllExperimentsQuick runs every registered experiment at quick scale
@@ -69,4 +73,50 @@ func TestResultRender(t *testing.T) {
 		}
 	}
 	_ = io.Discard
+}
+
+// TestClaimsTableMatchesRegistry fails when EXPERIMENTS.md's claims table
+// drifts from the registry: the same rows in the same order, with the same
+// ID, anchor and claim. Regenerate the table with `go run ./cmd/unbundle-bench`.
+func TestClaimsTableMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var registered []*Result
+	for _, e := range All() {
+		registered = append(registered, &Result{ID: e.ID, Title: e.Title, Anchor: e.Anchor})
+	}
+	var sb strings.Builder
+	WriteClaims(&sb, registered)
+	want, got := claimCells(sb.String()), claimCells(string(doc))
+	if !slices.Equal(got, want) {
+		t.Fatalf("EXPERIMENTS.md claims table drifted from the registry:\n got %q\nwant %q", got, want)
+	}
+}
+
+var claimRow = regexp.MustCompile(`^\| E\d+ \|`)
+
+// claimCells returns the ID, anchor and claim cells of every claims-table
+// row in s, one string per row.
+func claimCells(s string) []string {
+	var rows []string
+	for _, line := range strings.Split(s, "\n") {
+		if claimRow.MatchString(line) {
+			rows = append(rows, line[:strings.LastIndex(line, " | ")])
+		}
+	}
+	return rows
+}
+
+func TestSettleReportsTimeout(t *testing.T) {
+	defer func(d time.Duration) { settleTimeout = d }(settleTimeout)
+	settleTimeout = 10 * time.Millisecond
+	if err := settle("a condition that holds", func() bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	err := settle("the router to catch up", func() bool { return false })
+	if err == nil || !strings.Contains(err.Error(), "waiting for the router to catch up") {
+		t.Fatalf("settle = %v, want a timeout naming what it waited for", err)
+	}
 }

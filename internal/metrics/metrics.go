@@ -1,7 +1,7 @@
 // Package metrics provides the lightweight instrumentation used by every
 // experiment harness: atomic counters and gauges, log-bucketed latency
 // histograms with quantile estimation, and fixed-width table rendering for
-// the paper-style result tables in EXPERIMENTS.md.
+// the paper-style result tables cmd/unbundle-bench prints.
 //
 // The package is deliberately allocation-light so that instrumenting the
 // pubsub broker or the watch hub does not distort the measurements it exists

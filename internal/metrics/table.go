@@ -8,8 +8,7 @@ import (
 )
 
 // Table accumulates rows and renders them as an aligned plain-text table,
-// the format used for every experiment's output (and recorded verbatim in
-// EXPERIMENTS.md).
+// the format used for every experiment's output.
 type Table struct {
 	title   string
 	headers []string

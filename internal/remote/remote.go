@@ -1553,13 +1553,6 @@ func (c *Client) sendOn(cc *clientConn, send func(*binEncoder) error) error {
 	return nil
 }
 
-// conn returns the current connection, or nil while disconnected.
-func (c *Client) connNow() *clientConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur
-}
-
 // heartbeatLoop keeps an idle stream visibly alive toward the server,
 // which sizes its read deadline from the interval we announced.
 func (c *Client) heartbeatLoop(cc *clientConn) {
